@@ -1,4 +1,6 @@
-// Software CRC32C (Castagnoli), used to frame WAL records.
+// CRC32C (Castagnoli), used to frame WAL records. Extend uses the SSE4.2
+// crc32 instruction when the CPU has it (chosen once, at first use) and a
+// table-driven loop otherwise; non-x86 builds compile only the table loop.
 #pragma once
 
 #include <cstddef>
@@ -9,6 +11,14 @@ namespace snapper::crc32c {
 
 /// Extends `init_crc` with `data`. Pass 0 as the initial value.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+namespace internal {
+/// The table-driven path, always available. Tests compare it against
+/// Extend to check the hardware path.
+uint32_t ExtendTable(uint32_t init_crc, const char* data, size_t n);
+/// True if Extend runs the SSE4.2 path on this machine.
+bool UsesHardware();
+}  // namespace internal
 
 /// CRC32C of a buffer.
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

@@ -103,9 +103,10 @@ Result<RecoveryResult> RecoveryManager::Run(Env* env) {
   // effects of its predecessors — committing a successor whose predecessor
   // aborted would resurrect those effects partially. bids grow along the
   // chain, so one ascending sweep settles chains of any length.
-  // A BatchAbort record (liveness watchdog / dead participant) excludes the
-  // batch from the all-completes inference: its completes may all be on
-  // disk even though it never committed — only the *ack* was lost. An
+  // A BatchAbort record (liveness watchdog, dead participant, global abort
+  // round) excludes the batch from the all-completes inference: its
+  // completes may all be on disk even though it never committed — only the
+  // *ack* or the predecessor's commit was missing. An
   // explicit BatchCommit still wins; the coordinator guarantees the two are
   // never written for the same bid.
   // (WAL truncation preserves these rules: it only deletes per-logger

@@ -3,8 +3,9 @@
 //
 // Commit decisions:
 //   * a batch is committed iff a BatchCommit record exists, OR its BatchInfo
-//     record exists, every participant wrote BatchComplete, AND its whole
-//     predecessor chain (BatchInfo prev_id) committed — the paper's
+//     record exists, no BatchAbort record names it, every participant wrote
+//     BatchComplete, AND its whole predecessor chain (BatchInfo prev_id)
+//     committed — the paper's
 //     principle that "the batch that has BatchComplete log records written
 //     in all participating actors can commit", restricted to chain order
 //     because a batch's speculative snapshots embed its predecessors'

@@ -101,6 +101,28 @@ Task<void> GlobalAbortController::RoundTask(Status cause) {
   // so every actor sees a stable committed/aborted verdict.
   co_await outcome.committing_drained;
 
+  // The aborts must be durable before the round ends and work resumes on the
+  // rolled-back states. An aborted batch may already have every BatchComplete
+  // on disk (only its acks or its predecessor's commit were pending); without
+  // a BatchAbort, recovery's all-completes rule would commit it beside later
+  // state records that no longer contain its effects. The round does not
+  // know which coordinator formed each batch, so every logger gets a copy:
+  // the forming coordinator's copy then follows the batch's BatchInfo in the
+  // same stream, which is what WAL truncation relies on (wal/checkpoint.h).
+  std::vector<Future<Status>> abort_records;
+  auto* log = ctx_->log_manager;  // null in controller-only tests
+  if (log != nullptr && log->enabled()) {
+    for (const uint64_t bid : outcome.aborted_bids) {
+      for (size_t i = 0; i < log->num_loggers(); ++i) {
+        LogRecord record;
+        record.type = LogRecordType::kBatchAbort;
+        record.id = bid;
+        abort_records.push_back(
+            log->LoggerForCoordinator(i).Append(std::move(record)));
+      }
+    }
+  }
+
   auto actors = ctx_->TransactionalActors();
   std::vector<Future<void>> rollbacks;
   rollbacks.reserve(actors.size());
@@ -111,6 +133,7 @@ Task<void> GlobalAbortController::RoundTask(Status cause) {
         }));
   }
   co_await WhenAll(rollbacks);
+  co_await WhenAll(abort_records);
   FinishRound();
   co_return;
 }

@@ -29,15 +29,18 @@ uint32_t MicrosBetween(TimePoint from, TimePoint to) {
 
 }  // namespace
 
+void TransactionalActor::InstallState(Value state) {
+  state_ = std::move(state);
+  committed_image_ = state_.Encode();
+}
+
 void TransactionalActor::OnActivate() {
-  state_ = InitialState();
-  committed_state_ = state_;
-  if (runtime().app_context() == nullptr) return;  // bare-runtime tests
-  auto recovered = sctx().TakeRecoveredState(id());
-  if (recovered.has_value()) {
-    state_ = *recovered;
-    committed_state_ = std::move(*recovered);
+  if (runtime().app_context() == nullptr) {  // bare-runtime tests
+    InstallState(InitialState());
+    return;
   }
+  auto recovered = sctx().TakeRecoveredState(id());
+  InstallState(recovered.has_value() ? std::move(*recovered) : InitialState());
   sctx().RegisterTransactionalActor(id());
   if (sctx().IsActorKilled(id())) {
     // Fresh activation standing in for a killed one: serve nothing until the
@@ -68,10 +71,7 @@ Task<void> TransactionalActor::FinishReactivation(std::optional<Value> state,
   if (!sctx().ClearKillMark(id(), generation, &killed_at)) {
     co_return;  // a newer kill superseded this reactivation
   }
-  if (state.has_value()) {
-    state_ = *state;
-    committed_state_ = std::move(*state);
-  }
+  if (state.has_value()) InstallState(std::move(*state));
   recovering_ = false;
   sctx().counters.reactivations.fetch_add(1);
   sctx().counters.reactivation_us.fetch_add(MicrosBetween(killed_at, Now()));
@@ -80,8 +80,7 @@ Task<void> TransactionalActor::FinishReactivation(std::optional<Value> state,
 
 void TransactionalActor::LoadRecoveredState(Value state) {
   DcheckOnStrand("LoadRecoveredState");
-  state_ = state;
-  committed_state_ = std::move(state);
+  InstallState(std::move(state));
 }
 
 Status TransactionalActor::StatusFromException(std::exception_ptr e) {
@@ -691,7 +690,7 @@ void TransactionalActor::CommitActLocal(uint64_t tid, uint64_t final_max_bs) {
   DcheckOnStrand("CommitActLocal");
   const uint64_t seq = schedule_.ActSeq(tid);
   if (seq == LocalSchedule::kNoSeq || seq >= last_committed_seq_) {
-    committed_state_ = state_;
+    committed_image_ = state_.Encode();
     if (seq != LocalSchedule::kNoSeq) last_committed_seq_ = seq;
   }
   act_bs_watermark_ = MaxBid(act_bs_watermark_, final_max_bs);
@@ -799,7 +798,12 @@ void TransactionalActor::OnSubBatchComplete(uint64_t bid) {
   PactSnapshot snapshot;
   snapshot.seq = schedule_.BatchSeq(bid);
   snapshot.wrote = wrote;
-  if (wrote) snapshot.state = state_;
+  if (wrote) {
+    // One encode per writing sub-batch; the image is both the BatchComplete
+    // payload and, once the batch commits, the committed state.
+    snapshot.image.reserve(committed_image_.size());
+    state_.EncodeTo(&snapshot.image);
+  }
   pact_snapshots_[bid] = std::move(snapshot);
   LogAndAckSubBatch(bid, wrote).Start(strand());
 }
@@ -814,7 +818,7 @@ Task<void> TransactionalActor::LogAndAckSubBatch(uint64_t bid, bool wrote) {
     record.actor = id();
     if (wrote) {
       auto it = pact_snapshots_.find(bid);
-      if (it != pact_snapshots_.end()) record.state = it->second.state.Encode();
+      if (it != pact_snapshots_.end()) record.state = it->second.image;
     }
     Status ls = co_await ctx.log_manager->LoggerFor(id()).Append(record);
     if (!ls.ok()) {
@@ -848,14 +852,14 @@ Task<void> TransactionalActor::ReceiveBatchCommit(uint64_t bid) {
   auto it = pact_snapshots_.find(bid);
   if (it != pact_snapshots_.end()) {
     if (it->second.seq >= last_committed_seq_) {
-      if (it->second.wrote) committed_state_ = std::move(it->second.state);
+      if (it->second.wrote) committed_image_ = std::move(it->second.image);
       last_committed_seq_ = it->second.seq;
     }
     pact_snapshots_.erase(it);
   }
   schedule_.MarkBatchCommitted(bid);
   batch_owner_.erase(bid);
-  // The commit promoted durable snapshot bytes into committed_state_ without
+  // The commit promoted durable snapshot bytes into committed_image_ without
   // a new append; if the actor now goes idle above the lag threshold, this
   // is the last chance to ask for a checkpoint until its next write.
   if (auto* cp = sctx().log_manager->checkpoints()) cp->Poke(id());
@@ -868,9 +872,9 @@ Task<void> TransactionalActor::ReceiveBatchCommit(uint64_t bid) {
 
 bool TransactionalActor::QuiescentForCheckpoint() const {
   // Quiescent turn boundary: nothing undecided lives on this actor —
-  // committed_state_ is the full image of every decided transaction, and
+  // committed_image_ is the full image of every decided transaction, and
   // every state record this actor ever logged belongs to a decided
-  // transaction, so a checkpoint of committed_state_ supersedes all of
+  // transaction, so a checkpoint of committed_image_ supersedes all of
   // them. (An in-flight sub-batch or prepared ACT would make the
   // checkpoint's coverage ambiguous, so we simply defer.)
   return !failed() && !recovering_ && !aborting_ &&
@@ -882,7 +886,7 @@ LogRecord TransactionalActor::MakeCheckpointRecord() const {
   LogRecord record;
   record.type = LogRecordType::kCheckpoint;
   record.actor = id();
-  record.state = committed_state_.Encode();
+  record.state = committed_image_;
   return record;
 }
 
@@ -916,7 +920,7 @@ Task<bool> TransactionalActor::CheckpointAndDeactivate() {
   // Work may have arrived while the append was in flight; deactivating now
   // would abandon it. Stay resident unless still fully quiescent.
   if (!s.ok() || !QuiescentForCheckpoint()) co_return false;
-  ctx.StageRecoveredState(id(), committed_state_);
+  ctx.StageRecoveredState(id(), Value::Decode(committed_image_));
   ctx.counters.cold_deactivations.fetch_add(1);
   // Deactivate without a kill mark: the next call activates a fresh
   // instance whose OnActivate picks up the staged state directly — no
@@ -971,7 +975,7 @@ Task<void> TransactionalActor::AbortUncommitted(Status status) {
   for (auto it = pact_snapshots_.begin(); it != pact_snapshots_.end();) {
     if (sequencer->IsCommitted(it->first)) {
       if (it->second.seq >= last_committed_seq_) {
-        if (it->second.wrote) committed_state_ = it->second.state;
+        if (it->second.wrote) committed_image_ = std::move(it->second.image);
         last_committed_seq_ = it->second.seq;
       }
       schedule_.MarkBatchCommitted(it->first);
@@ -987,7 +991,7 @@ Task<void> TransactionalActor::AbortUncommitted(Status status) {
   // guarantees no lock holders / prepared ACTs remain).
   act_local_.clear();
 
-  state_ = committed_state_;
+  state_ = Value::Decode(committed_image_);
   aborting_ = false;
   co_return;
 }

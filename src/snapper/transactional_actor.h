@@ -15,7 +15,11 @@
 //
 // Actor state is a `Value` blob (the paper also treats each actor's state as
 // a value blob, §5.4.2). Subclasses register named methods in their
-// constructor and manipulate the state through GetState.
+// constructor and manipulate the state through GetState. Only the live state
+// is a `Value`: the committed state and every pending sub-batch snapshot are
+// kept as their wire encoding (the bytes the WAL carries), so a writing
+// sub-batch costs one encode and commit promotion is a string move; a
+// `Value` is decoded back only on rollback and deactivation.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +111,7 @@ class TransactionalActor : public ActorBase {
   /// Requested by the CheckpointManager once this actor's durable lag
   /// crosses the threshold. If the actor is at a quiescent turn boundary
   /// (no active invocations, no undecided speculative state), durably
-  /// appends a kCheckpoint record carrying committed_state_ and returns
+  /// appends a kCheckpoint record carrying committed_image_ and returns
   /// true; otherwise reports a skip and returns false — the next durable
   /// state record re-triggers the request. Never blocks other turns: the
   /// append is awaited off-strand like any other WAL write.
@@ -128,14 +132,18 @@ class TransactionalActor : public ActorBase {
   /// actor's strand while a trace session is active.
   uint64_t StateDigest() const override {
     const std::string cur = state_.Encode();
-    const std::string committed = committed_state_.Encode();
     return trace::HashBytes(
-        committed.data(), committed.size(),
+        committed_image_.data(), committed_image_.size(),
         trace::HashBytes(cur.data(), cur.size(), /*seed=*/cur.size() + 1));
   }
 
   const Value& state_for_test() const { return state_; }
-  const Value& committed_state_for_test() const { return committed_state_; }
+  Value committed_state_for_test() const {
+    return Value::Decode(committed_image_);
+  }
+  const std::string& committed_image_for_test() const {
+    return committed_image_;
+  }
   const LocalSchedule& schedule_for_test() const { return schedule_; }
   const ActorLock& lock_for_test() const { return lock_; }
 
@@ -157,7 +165,8 @@ class TransactionalActor : public ActorBase {
   struct PactSnapshot {
     uint64_t seq = 0;
     bool wrote = false;
-    Value state;
+    /// Encoded state after the sub-batch (empty unless `wrote`).
+    std::string image;
   };
 
   struct ActLocal {
@@ -178,8 +187,8 @@ class TransactionalActor : public ActorBase {
   Task<Value> InvokePact(TxnContext ctx, const Method& method, Value input);
   Task<Value> InvokeAct(TxnContext ctx, const Method& method, Value input);
 
-  /// Synchronous part of sub-batch completion: snapshots state, then kicks
-  /// off the async log + ack (BatchComplete, §4.2.4).
+  /// Synchronous part of sub-batch completion: encodes the state image,
+  /// then kicks off the async log + ack (BatchComplete, §4.2.4).
   void OnSubBatchComplete(uint64_t bid);
   Task<void> LogAndAckSubBatch(uint64_t bid, bool wrote);
 
@@ -198,19 +207,23 @@ class TransactionalActor : public ActorBase {
   Future<Status> WaitBatchOutcome(uint64_t bid);
   void NotifyQuiesce();
   bool QuiescedForAbort() const;
-  /// True at a turn boundary where state_ == committed_state_ and no
+  /// True at a turn boundary where state_ is the committed state and no
   /// in-flight transaction holds undecided state here: safe to checkpoint.
   bool QuiescentForCheckpoint() const;
-  /// Builds this actor's kCheckpoint record from committed_state_.
+  /// Builds this actor's kCheckpoint record from committed_image_.
   LogRecord MakeCheckpointRecord() const;
 
   /// Maps an arbitrary in-flight exception to the abort status presented to
   /// clients and the abort machinery.
   static Status StatusFromException(std::exception_ptr e);
 
+  /// Installs `state` as both the live and the committed state.
+  void InstallState(Value state);
+
   Value state_;
-  Value committed_state_;
-  /// Schedule-seq of the newest promotion applied to committed_state_;
+  /// Encoded committed state: Value::Encode of it, byte for byte.
+  std::string committed_image_;
+  /// Schedule-seq of the newest promotion applied to committed_image_;
   /// guards against out-of-order commit-message arrival.
   uint64_t last_committed_seq_ = 0;
 

@@ -29,13 +29,16 @@
 //    theirs. Conversely, any *retained* state record that recovery must
 //    re-judge has lsn >= floor, hence its decision record (higher LSN still)
 //    lives in a retained segment too.
-//  * The all-completes rule cannot resurrect a watchdog-aborted batch:
-//    kBatchInfo and kBatchAbort are written by the same coordinator to the
-//    same logger (info first). Per-logger LSNs are strictly increasing, so
-//    segments' max LSNs are too, and floor-based deletion always removes a
-//    per-logger *prefix* — the kBatchInfo is deleted no later than the
-//    kBatchAbort. Deleting the metadata of a still-undecided batch only
-//    makes recovery more conservative, which is legal for unacked work.
+//  * The all-completes rule cannot resurrect an aborted batch: its
+//    kBatchAbort follows its kBatchInfo in the forming coordinator's logger.
+//    The batch watchdog writes both there; a global abort round writes a
+//    copy to every logger, and can only precede the kBatchInfo of a batch
+//    that it then stops from being emitted (so no completes exist to infer
+//    from). Per-logger LSNs are strictly increasing, so segments' max LSNs
+//    are too, and floor-based deletion always removes a per-logger *prefix*
+//    — the kBatchInfo is deleted no later than the kBatchAbort. Deleting the
+//    metadata of a still-undecided batch only makes recovery more
+//    conservative, which is legal for unacked work.
 //
 // A torn checkpoint needs no special handling: its frame fails the CRC, so
 // it is never reported durable, never advances the floor, and recovery's

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <string>
+
+#include "common/rng.h"
+
 namespace snapper {
 namespace {
 
@@ -42,6 +47,25 @@ TEST(Crc32cTest, DetectsSingleBitFlip) {
     std::string corrupt = data;
     corrupt[i] ^= 0x01;
     EXPECT_NE(crc32c::Value(corrupt), original) << "byte " << i;
+  }
+}
+
+TEST(Crc32cTest, HardwareAndTablePathsAgree) {
+  // Extend runs the SSE4.2 path where the CPU has it; on other machines this
+  // compares the table loop with itself.
+  std::cout << "crc32c hardware path: "
+            << (crc32c::internal::UsesHardware() ? "yes" : "no") << "\n";
+  Rng rng(42);
+  std::string buf(4097 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4097; ++len) {
+      const char* data = buf.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      ASSERT_EQ(crc32c::Extend(seed, data, len),
+                crc32c::internal::ExtendTable(seed, data, len))
+          << "offset " << offset << " len " << len;
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "snapper/snapper_runtime.h"
 #include "tests/common/watchdog.h"
@@ -116,6 +118,47 @@ TEST_F(RecoveryTest, UncommittedActNeverSurfaces) {
   auto rt = Open(true);
   EXPECT_DOUBLE_EQ(Balance(*rt, 1), kPer - 100.0);
   EXPECT_DOUBLE_EQ(Balance(*rt, 2), kPer + 100.0);
+}
+
+TEST_F(RecoveryTest, AbortRoundDecisionIsDurableBeforeLaterWrites) {
+  // A global abort round can abort a batch whose BatchComplete records are
+  // all on disk (here its acks are lost, so it never commits). Later
+  // batches then write states built on the rolled-back image. Unless the
+  // round's abort is durable before that, recovery's all-completes rule
+  // commits the aborted batch: the deposit into account 1 comes back while
+  // the withdrawal from account 0 stays undone.
+  {
+    auto rt = Open(false);
+    // Droppable messages of one idle PACT, in order: the two sub-batch
+    // emissions, then the BatchComplete acks. Drop everything from the
+    // first ack on (the default config has no batch deadline).
+    rt->runtime().msg_faults().FailNth(MessageFaultInjector::Action::kDrop, 3,
+                                       /*sticky=*/true);
+    auto pending = rt->SubmitPact(
+        Acc(0), "MultiTransfer", SmallBankActor::MultiTransferInput(10.0, {1}),
+        SmallBankActor::MultiTransferAccessInfo(type_, 0, {1}));
+    auto& completes = rt->context().counters.batch_completes;
+    for (int i = 0; i < 10000 && completes.load() < 2; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(completes.load(), 2u) << "both BatchCompletes must be durable";
+    ASSERT_FALSE(pending.ready());
+
+    auto round = rt->context().abort_controller->RequestAbortAll(
+        Status::TxnAborted(AbortReason::kSystemFailure, "test round"));
+    ASSERT_EQ(0u, testing::WaitAllResolved(
+                      std::vector<Future<TxnResult>>{pending}, 30.0));
+    ASSERT_EQ(0u, testing::WaitAllResolved(std::vector<Future<Unit>>{round},
+                                           30.0));
+    EXPECT_FALSE(pending.Peek().ok());
+    rt->runtime().msg_faults().ClearFaults();
+    ASSERT_TRUE(Transfer(*rt, 0, 2, 10.0, TxnMode::kPact).ok());
+  }
+  env_.CrashAll();
+  auto rt = Open(true);
+  EXPECT_DOUBLE_EQ(Balance(*rt, 0), kPer - 10.0);
+  EXPECT_DOUBLE_EQ(Balance(*rt, 1), kPer);
+  EXPECT_DOUBLE_EQ(Balance(*rt, 2), kPer + 10.0);
 }
 
 TEST_F(RecoveryTest, RandomizedCrashPointsConserveMoney) {
