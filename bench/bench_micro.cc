@@ -114,7 +114,9 @@ BENCHMARK(BM_ScheduleBatchLifecycle);
 void BM_WalAppend(benchmark::State& state) {
   Executor executor(2);
   MemEnv env;
-  Logger logger("bm.log", &env, std::make_shared<Strand>(&executor));
+  Logger logger(/*index=*/0, /*start_seq=*/1, &env,
+                std::make_shared<Strand>(&executor), /*health=*/nullptr,
+                /*checkpoints=*/nullptr, /*segment_bytes=*/0);
   LogRecord record;
   record.type = LogRecordType::kBatchComplete;
   record.actor = ActorId{1, 1};

@@ -9,12 +9,8 @@ thread_local Strand* tls_current_strand = nullptr;
 thread_local Executor* tls_current_executor = nullptr;
 }  // namespace
 
-Executor::Executor(size_t num_threads) {
+Executor::Executor(size_t num_threads) : num_threads_(num_threads) {
   assert(num_threads >= 1);
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
 }
 
 Executor::~Executor() { Stop(); }
@@ -24,22 +20,27 @@ void Executor::Post(std::function<void()> fn) {
     MutexLock lock(&mu_);
     if (stopping_) return;
     queue_.push_back(std::move(fn));
+    if (threads_.empty()) {
+      // First post: start the workers. They block on mu_ until it is
+      // released, then find the task.
+      threads_.reserve(num_threads_);
+      for (size_t i = 0; i < num_threads_; ++i) {
+        threads_.emplace_back([this] { WorkerLoop(); });
+      }
+    }
   }
   cv_.NotifyOne();
 }
 
 void Executor::Stop() {
+  std::vector<std::thread> threads;
   {
     MutexLock lock(&mu_);
-    if (stopping_) {
-      // Already stopped; make sure threads are joined below exactly once.
-    }
     stopping_ = true;
+    threads.swap(threads_);  // a second Stop finds nothing left to join
   }
   cv_.NotifyAll();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& t : threads) t.join();
 }
 
 bool Executor::InExecutor() const { return tls_current_executor == this; }

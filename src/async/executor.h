@@ -23,8 +23,8 @@ namespace snapper {
 /// Fixed-size thread pool. Tasks are arbitrary callables; FIFO dispatch.
 class Executor {
  public:
-  /// Creates the pool with `num_threads` workers (>= 1). Threads start
-  /// immediately.
+  /// Creates the pool with `num_threads` workers (>= 1). The workers start
+  /// on the first Post, so a pool that is never posted to costs no thread.
   explicit Executor(size_t num_threads);
   ~Executor();
 
@@ -39,7 +39,7 @@ class Executor {
   /// joins them. Idempotent.
   void Stop();
 
-  size_t num_threads() const { return threads_.size(); }
+  size_t num_threads() const { return num_threads_; }
 
   /// True when called from one of this executor's worker threads.
   bool InExecutor() const;
@@ -51,9 +51,9 @@ class Executor {
   CondVar cv_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool stopping_ GUARDED_BY(mu_) = false;
-  /// Written only by the constructor, before any concurrency; joined by
-  /// Stop() after stopping_ is set.
-  std::vector<std::thread> threads_;
+  const size_t num_threads_;
+  /// Started by the first Post; moved out and joined by Stop().
+  std::vector<std::thread> threads_ GUARDED_BY(mu_);
 };
 
 /// Serialized sub-executor: tasks posted to a Strand run in FIFO order and

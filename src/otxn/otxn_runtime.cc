@@ -474,7 +474,7 @@ OtxnRuntime::OtxnRuntime(OtxnConfig config, Env* env)
           .enable_logging = config.enable_logging,
           .segment_bytes = config.wal_segment_bytes,
           .checkpoint_threshold_bytes = config.checkpoint_threshold_bytes},
-      env_, &runtime_->executor());
+      env_);
   if (auto* cp = log_manager_->checkpoints();
       cp != nullptr && cp->checkpointing_enabled()) {
     cp->SetRequestCheckpointFn([this](const ActorId& id) {
@@ -490,7 +490,10 @@ OtxnRuntime::OtxnRuntime(OtxnConfig config, Env* env)
 
 OtxnRuntime::~OtxnRuntime() { Shutdown(); }
 
-void OtxnRuntime::Shutdown() { runtime_->Shutdown(); }
+void OtxnRuntime::Shutdown() {
+  runtime_->Shutdown();
+  log_manager_->Shutdown();
+}
 
 void OtxnRuntime::KillActor(const ActorId& id) {
   {

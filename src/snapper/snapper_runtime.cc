@@ -191,7 +191,7 @@ SnapperRuntime::SnapperRuntime(SnapperConfig config, Env* env)
           .enable_logging = config.enable_logging,
           .segment_bytes = config.wal_segment_bytes,
           .checkpoint_threshold_bytes = config.checkpoint_threshold_bytes},
-      env_, &runtime_->executor());
+      env_);
   if (auto* cp = log_manager_->checkpoints();
       cp != nullptr && cp->checkpointing_enabled()) {
     // Fired from a logger strand when an actor's durable lag crosses the
@@ -472,6 +472,9 @@ void SnapperRuntime::SyncWalCounters() {
   context_.counters.wal_bytes_truncated.store(stats.bytes_truncated.load());
 }
 
-void SnapperRuntime::Shutdown() { runtime_->Shutdown(); }
+void SnapperRuntime::Shutdown() {
+  runtime_->Shutdown();
+  log_manager_->Shutdown();
+}
 
 }  // namespace snapper

@@ -124,7 +124,8 @@ class SnapperRuntime {
   /// actors, as the admission shed path does when degraded.
   void ShedColdActorsForTest() { MaybeShedColdActors(); }
 
-  /// Drains workers and timers. Called by the destructor.
+  /// Drains workers, timers and the WAL device threads. Called by the
+  /// destructor.
   void Shutdown();
 
  private:

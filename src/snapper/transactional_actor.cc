@@ -959,9 +959,22 @@ Task<void> TransactionalActor::AbortUncommitted(Status status) {
       status, [sequencer](uint64_t bid) { return sequencer->IsCommitted(bid); });
   lock_.FailAllWaiters(status);
 
-  // Quiesce: wait for in-flight invocations to unwind and undecided ACTs to
-  // resolve (their 2PC outcomes arrive as later turns on this strand).
-  while (!QuiescedForAbort()) {
+  // Quiesce: wait for in-flight invocations to unwind and prepared ACTs to
+  // resolve (their 2PC outcomes arrive as later turns on this strand). An
+  // ACT that is registered here but neither running nor prepared has not
+  // voted, so it may abort unilaterally: waiting for its root's ActAbort
+  // could hang the round, because that message is droppable and only
+  // prepared participants have a watchdog. Its later ActPrepare finds the
+  // tid unknown and votes no.
+  for (;;) {
+    std::vector<uint64_t> unvoted;
+    for (const auto& [tid, local] : act_local_) {
+      if (local.active == 0 && prepared_acts_.count(tid) == 0) {
+        unvoted.push_back(tid);
+      }
+    }
+    for (const uint64_t tid : unvoted) AbortActLocal(tid);
+    if (QuiescedForAbort()) break;
     Promise<Unit> p;
     auto f = p.GetFuture();
     quiesce_waiters_.push_back(std::move(p));

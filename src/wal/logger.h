@@ -8,6 +8,11 @@
 // "constraining the number of log files, reducing random IO and amortizing
 // IO cost by batching".
 //
+// The loggers' strands run on the LogManager's own device executor, one
+// thread per logger, never on the actor worker pool: a sync blocks the
+// transactions that wait for it, not the threads that run actor turns.
+// Awaiting actors resume on their own strands (Future's awaiter posts back).
+//
 // With a CheckpointManager attached, each logger also: stamps every record
 // with a global LSN at append time, rolls its file into fixed-size segments
 // at flush boundaries, and reports per-record durability so checkpoint lag
@@ -57,17 +62,13 @@ class WalHealth {
 
 class Logger {
  public:
-  /// Single-file logger (tests, benches): writes `file_name`, no LSNs, no
-  /// segments. `strand` must be dedicated to this logger. `health`
-  /// (optional) receives the outcome of every flush.
-  Logger(std::string file_name, Env* env, std::shared_ptr<Strand> strand,
-         WalHealth* health = nullptr);
-
-  /// Segmented logger `index`, starting at segment `start_seq` (past the
-  /// previous incarnation's highest so its files are never overwritten).
+  /// Logger `index`, writing segment files `wal-<index>-<seq>.log` from
+  /// `start_seq` on (past the previous incarnation's highest so its files
+  /// are never overwritten). `strand` must be dedicated to this logger.
   /// Rolls at the first flush boundary where the current segment has
-  /// `segment_bytes` or more (0 = never) and reports segment lifecycle and
-  /// per-record durability to `checkpoints` (may be null).
+  /// `segment_bytes` or more (0 = never). `health` (may be null) receives
+  /// the outcome of every flush; `checkpoints` (may be null) gets LSNs,
+  /// segment lifecycle and per-record durability.
   Logger(size_t index, uint64_t start_seq, Env* env,
          std::shared_ptr<Strand> strand, WalHealth* health,
          CheckpointManager* checkpoints, size_t segment_bytes);
@@ -98,10 +99,8 @@ class Logger {
   size_t index_ = 0;
   uint64_t seq_ = 0;          ///< Current segment sequence (strand only).
   size_t segment_written_ = 0;  ///< Durable bytes in the current segment.
-  bool segmented_ = false;
-  /// Opened lazily on the first flush so that recovery can read the previous
-  /// incarnation's log before this one writes (legacy single-file mode
-  /// truncates; segmented mode opens a fresh `wal-<index>-<seq>.log`).
+  /// Opened lazily on the first flush, as a fresh `wal-<index>-<seq>.log`,
+  /// so nothing is created before the first record needs it.
   std::unique_ptr<WritableFile> file_;
   Status open_status_;
 
@@ -133,7 +132,18 @@ class LogManager {
     size_t checkpoint_threshold_bytes = 0;
   };
 
-  LogManager(Options options, Env* env, Executor* executor);
+  LogManager(Options options, Env* env);
+  /// Joins the device threads (Shutdown) before the loggers go away.
+  ~LogManager();
+
+  LogManager(const LogManager&) = delete;
+  LogManager& operator=(const LogManager&) = delete;
+
+  /// Stops the device threads after they drain the flushes already queued;
+  /// appends posted afterwards never resolve. The owning runtime calls this
+  /// once its actor workers are stopped, so no logger turn outlives it.
+  /// Idempotent.
+  void Shutdown() { device_.Stop(); }
 
   bool enabled() const { return options_.enable_logging; }
 
@@ -172,6 +182,9 @@ class LogManager {
   WalHealth health_;
   std::unique_ptr<CheckpointManager> checkpoints_;
   std::vector<std::unique_ptr<Logger>> loggers_;
+  /// One thread per logger, started by the first append. Declared last so
+  /// that it is joined before anything its turns touch is destroyed.
+  Executor device_;
 };
 
 }  // namespace snapper

@@ -4,9 +4,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <vector>
+
+#include "common/mutex.h"
 
 namespace snapper {
 namespace {
@@ -74,6 +78,75 @@ TEST(ExecutorTest, MultipleWorkersRunInParallel) {
   ex.Stop();
   // On a 1-core host the OS still timeslices blocked threads, so >= 2.
   EXPECT_GE(peak.load(), 2);
+}
+
+/// Threads of this process, or -1 where /proc/self/task is unavailable.
+int ProcessThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+TEST(ExecutorTest, UnusedExecutorStartsNoThread) {
+  const int before = ProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+  {
+    Executor ex(4);
+    EXPECT_EQ(ProcessThreads(), before);
+    ex.Stop();
+  }
+  EXPECT_EQ(ProcessThreads(), before);
+
+  // >=: a sanitizer runtime may start a helper thread with the first one.
+  Executor used(4);
+  used.Post([] {});
+  EXPECT_GE(ProcessThreads(), before + 4);
+  used.Stop();
+}
+
+TEST(ExecutorTest, ConcurrentFirstPostsStartEachWorkerOnce) {
+  Executor ex(3);
+  Mutex mu;
+  std::set<std::thread::id> workers;  // guarded by mu
+  std::atomic<int> ran{0};
+  constexpr int kPosters = 8;
+  constexpr int kPerPoster = 16;
+  // Each task waits (bounded) until all num_threads() workers have shown
+  // up, so every worker runs at least one task; a double start would show
+  // more distinct workers than num_threads().
+  auto task = [&] {
+    {
+      MutexLock lock(&mu);
+      workers.insert(std::this_thread::get_id());
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      {
+        MutexLock lock(&mu);
+        if (workers.size() >= ex.num_threads()) break;
+      }
+      if (std::chrono::steady_clock::now() > deadline) break;
+      std::this_thread::yield();
+    }
+    ran.fetch_add(1);
+  };
+  std::atomic<int> ready{0};
+  std::vector<std::thread> posters;
+  for (int p = 0; p < kPosters; ++p) {
+    posters.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kPosters) std::this_thread::yield();
+      for (int i = 0; i < kPerPoster; ++i) ex.Post(task);
+    });
+  }
+  for (auto& t : posters) t.join();
+  ex.Stop();
+  EXPECT_EQ(ran.load(), kPosters * kPerPoster);
+  MutexLock lock(&mu);
+  EXPECT_EQ(workers.size(), ex.num_threads());
 }
 
 TEST(StrandTest, TasksRunInFifoOrder) {

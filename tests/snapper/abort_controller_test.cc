@@ -12,10 +12,46 @@
 #include <gtest/gtest.h>
 
 #include "snapper/snapper_context.h"
+#include "snapper/snapper_runtime.h"
+#include "snapper/transactional_actor.h"
 #include "tests/common/watchdog.h"
 
 namespace snapper {
 namespace {
+
+/// "Touch" write-locks this actor; "TouchThenAbort" touches itself and the
+/// actor keyed by its input, then user-aborts.
+class TouchActor : public TransactionalActor {
+ public:
+  TouchActor() {
+    RegisterMethod("Touch", [this](TxnContext& ctx, Value in) {
+      return Touch(ctx, std::move(in));
+    });
+    RegisterMethod("TouchThenAbort", [this](TxnContext& ctx, Value in) {
+      return TouchThenAbort(ctx, std::move(in));
+    });
+  }
+
+  Value InitialState() const override { return Value(int64_t{0}); }
+
+  Task<bool> LockIsFree() { co_return lock_for_test().IsFree(); }
+
+ private:
+  Task<Value> Touch(TxnContext& ctx, Value) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
+    Value* state = co_await GetState(ctx, AccessMode::kReadWrite);
+    *state = Value(state->AsInt() + 1);
+    co_return Value();
+  }
+
+  Task<Value> TouchThenAbort(TxnContext& ctx, Value input) {  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
+    co_await Touch(ctx, Value());
+    FuncCall touch;
+    touch.method = "Touch";
+    co_await CallActor(ctx, ActorId{id().type, static_cast<uint64_t>(input.AsInt())},
+                       std::move(touch));
+    throw TxnAbort(Status::TxnAborted(AbortReason::kUserAbort, "test abort"));
+  }
+};
 
 struct ControllerFixture {
   ControllerFixture() {
@@ -100,6 +136,40 @@ TEST(GlobalAbortControllerTest, DecidedBidFastPathResolvesImmediately) {
   ASSERT_TRUE(testing::WaitResolved(future, 30.0));
   // No round may run for an already-committed bid.
   EXPECT_EQ(0u, f.ctx.abort_controller->num_rounds());
+}
+
+TEST(GlobalAbortControllerTest, RoundAbortsUnvotedActWhoseAbortWasLost) {
+  // An ACT write-locks a participant and then aborts at its root, but the
+  // root's droppable ActAbort is lost. The participant is left with an ACT
+  // that is registered and holds the lock, yet is neither running nor
+  // prepared, so no watchdog covers it. A round must abort it locally
+  // instead of waiting for that lock forever.
+  SnapperRuntime rt(SnapperConfig{}, nullptr);
+  const uint32_t type = rt.RegisterActorType(
+      "Touch", [](uint64_t) { return std::make_shared<TouchActor>(); });
+  rt.Start();
+  const ActorId root{type, 1};
+  const ActorId participant{type, 2};
+  auto lock_is_free = [&rt, participant]() {
+    return rt.runtime()
+        .Call<TouchActor>(participant,
+                          [](TouchActor& a) { return a.LockIsFree(); })
+        .Get();
+  };
+
+  // The ActAbort is the ACT's only droppable message.
+  rt.runtime().msg_faults().FailNth(MessageFaultInjector::Action::kDrop, 1);
+  const TxnResult r = rt.RunAct(root, "TouchThenAbort", Value(int64_t{2}));
+  ASSERT_EQ(r.status.abort_reason(), AbortReason::kUserAbort);
+  ASSERT_EQ(rt.runtime().msg_faults().dropped(), 1u);
+  ASSERT_FALSE(lock_is_free()) << "the lost ActAbort left no orphaned lock";
+
+  auto round = rt.context().abort_controller->RequestAbortAll(
+      Status::TxnAborted(AbortReason::kSystemFailure, "test round"));
+  ASSERT_TRUE(testing::WaitResolved(round, 30.0))
+      << "the round waits forever on the participant's lock";
+  EXPECT_TRUE(lock_is_free());
+  EXPECT_TRUE(rt.RunAct(participant, "Touch", Value()).ok());
 }
 
 }  // namespace

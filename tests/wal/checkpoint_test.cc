@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "async/executor.h"
 #include "wal/env.h"
 #include "wal/log_format.h"
 #include "wal/logger.h"
@@ -181,9 +180,6 @@ TEST_F(CheckpointManagerTest, ColdActorsOrdersByOldestDurableWrite) {
 
 class SegmentedLoggerTest : public ::testing::Test {
  protected:
-  SegmentedLoggerTest() : ex_(2) {}
-  ~SegmentedLoggerTest() override { ex_.Stop(); }
-
   /// All (logger, seq, name) wal files currently on disk, numerically
   /// ordered.
   std::vector<std::string> WalFiles() {
@@ -209,7 +205,6 @@ class SegmentedLoggerTest : public ::testing::Test {
     return names;
   }
 
-  Executor ex_;
   MemEnv env_;
 };
 
@@ -218,7 +213,7 @@ TEST_F(SegmentedLoggerTest, RollsSegmentsAndKeepsLsnsMonotone) {
                       .enable_logging = true,
                       .segment_bytes = 64,
                       .checkpoint_threshold_bytes = 0},
-                     &env_, &ex_);
+                     &env_);
   const std::string state(40, 'x');
   for (uint64_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(
@@ -249,7 +244,7 @@ TEST_F(SegmentedLoggerTest, TruncatesSegmentsBelowCheckpointFloor) {
                       .enable_logging = true,
                       .segment_bytes = 64,
                       .checkpoint_threshold_bytes = 0},
-                     &env_, &ex_);
+                     &env_);
   const std::string state(40, 'x');
   // Two actors interleave; then both checkpoint, superseding everything.
   for (uint64_t i = 0; i < 4; ++i) {
@@ -306,7 +301,7 @@ TEST_F(SegmentedLoggerTest, TruncatesAtExactSegmentBoundary) {
                       .enable_logging = true,
                       .segment_bytes = framed.size(),
                       .checkpoint_threshold_bytes = 0},
-                     &env_, &ex_);
+                     &env_);
   const std::string state(40, 'x');
   for (uint64_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(
@@ -345,7 +340,7 @@ TEST_F(SegmentedLoggerTest, LegacyFilesRetireOnDemand) {
                       .enable_logging = true,
                       .segment_bytes = 0,
                       .checkpoint_threshold_bytes = 0},
-                     &env_, &ex_);
+                     &env_);
   // New appends land in a *new* segment past the legacy one.
   ASSERT_TRUE(
       manager.Append(ActorId{7, 1}, StateRecord(1, "new")).Get().ok());
