@@ -19,12 +19,12 @@ int main() {
   for (size_t coordinators : {1u, 2u, 4u, 8u, 16u}) {
     SnapperConfig config = harness::SnapperConfigForCores(4, true);
     config.num_coordinators = coordinators;
-    SnapperBankSilo silo(config);
+    SnapperTxnSystem silo(config, BenchSyncLatency());
     SmallBankWorkloadConfig workload = base;
-    workload.actor_type = silo.actor_type;
+    workload.actor_type = silo.actor_type();
     BenchResult r = RunBench(BenchClientConfig(TxnMode::kPact, false),
                              MakeSmallBankGenerator(workload),
-                             harness::SnapperSubmit(*silo.runtime));
+                             silo.submitter());
     char label[64];
     std::snprintf(label, sizeof(label), "%zu coordinators", coordinators);
     PrintRow(label, r);
@@ -34,12 +34,12 @@ int main() {
   for (size_t loggers : {1u, 2u, 4u, 8u}) {
     SnapperConfig config = harness::SnapperConfigForCores(4, true);
     config.num_loggers = loggers;
-    SnapperBankSilo silo(config);
+    SnapperTxnSystem silo(config, BenchSyncLatency());
     SmallBankWorkloadConfig workload = base;
-    workload.actor_type = silo.actor_type;
+    workload.actor_type = silo.actor_type();
     BenchResult r = RunBench(BenchClientConfig(TxnMode::kPact, false),
                              MakeSmallBankGenerator(workload),
-                             harness::SnapperSubmit(*silo.runtime));
+                             silo.submitter());
     char label[64];
     std::snprintf(label, sizeof(label), "%zu loggers", loggers);
     PrintRow(label, r);
@@ -49,12 +49,12 @@ int main() {
   for (int delay_us : {0, 200, 1000, 5000}) {
     SnapperConfig config = harness::SnapperConfigForCores(4, true);
     config.idle_token_delay = std::chrono::microseconds(delay_us);
-    SnapperBankSilo silo(config);
+    SnapperTxnSystem silo(config, BenchSyncLatency());
     SmallBankWorkloadConfig workload = base;
-    workload.actor_type = silo.actor_type;
+    workload.actor_type = silo.actor_type();
     BenchResult r = RunBench(BenchClientConfig(TxnMode::kPact, false),
                              MakeSmallBankGenerator(workload),
-                             harness::SnapperSubmit(*silo.runtime));
+                             silo.submitter());
     char label[64];
     std::snprintf(label, sizeof(label), "idle delay %dus", delay_us);
     PrintRow(label, r);
@@ -62,17 +62,17 @@ int main() {
 
   PrintHeader("Ablation: batching amortization (messages per PACT vs skew)");
   for (const auto& level : harness::kSkewLevels) {
-    SnapperBankSilo silo(harness::SnapperConfigForCores(4, true));
+    const auto silo = BankSilo(/*otxn=*/false);
     SmallBankWorkloadConfig workload = base;
-    workload.actor_type = silo.actor_type;
+    workload.actor_type = silo->actor_type();
     workload.distribution = level.distribution;
     workload.zipf_s = level.zipf_s;
-    auto& counters = silo.runtime->context().counters;
+    auto& counters = silo->counters();
     counters.Reset();
     BenchResult r = RunBench(
         BenchClientConfig(TxnMode::kPact, level.zipf_s >= 1.0),
         MakeSmallBankGenerator(workload),
-        harness::SnapperSubmit(*silo.runtime));
+        silo->submitter());
     // Counters accumulate over the whole run (warm-up included): divide by
     // every transaction the run processed.
     const double all_txns =

@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "harness/paper_config.h"
-#include "workloads/smallbank.h"
-#include "workloads/smallbank_logic.h"
+#include "harness/txn_system.h"
 #include "workloads/tpcc.h"
 #include "workloads/tpcc_logic.h"
 
@@ -27,57 +26,43 @@ using harness::Distribution;
 using harness::GeneratorFn;
 using harness::MakeSmallBankGenerator;
 using harness::MakeTpccGenerator;
+using harness::OtxnTxnSystem;
 using harness::RunBench;
 using harness::SmallBankWorkloadConfig;
+using harness::SnapperTxnSystem;
 using harness::SubmitFn;
 using harness::TpccWorkloadConfig;
 
-/// WAL device latency applied to every Sync by the bench MemEnvs: simulates
+/// WAL device latency applied to every Sync by the bench silos: simulates
 /// the paper's io2 SSD (default 100us; override SNAPPER_SYNC_LATENCY_US).
-inline std::unique_ptr<MemEnv> MakeBenchEnv() {
-  auto env = std::make_unique<MemEnv>();
-  env->set_sync_latency(std::chrono::microseconds(
-      harness::EnvInt("SNAPPER_SYNC_LATENCY_US", 100)));
-  return env;
+/// SmallBank silos are the harness adapters (harness/txn_system.h), built
+/// as e.g. `SnapperTxnSystem silo(config, BenchSyncLatency())`.
+inline std::chrono::microseconds BenchSyncLatency() {
+  return std::chrono::microseconds(
+      harness::EnvInt("SNAPPER_SYNC_LATENCY_US", 100));
 }
 
-/// A Snapper silo with SmallBank registered.
-struct SnapperBankSilo {
-  std::unique_ptr<MemEnv> env = MakeBenchEnv();
-  std::unique_ptr<SnapperRuntime> runtime;
-  uint32_t actor_type = 0;
-
-  explicit SnapperBankSilo(SnapperConfig config) {
-    runtime = std::make_unique<SnapperRuntime>(config, env.get());
-    actor_type = smallbank::RegisterSmallBank(*runtime);
-    runtime->Start();
+/// The paper's 4-core SmallBank silo on either stack: Snapper with
+/// logging (SnapperConfigForCores(4, true)) or OrleansTxn with 4 workers.
+inline std::unique_ptr<harness::TxnSystem> BankSilo(bool otxn) {
+  if (!otxn) {
+    return std::make_unique<SnapperTxnSystem>(
+        harness::SnapperConfigForCores(4, true), BenchSyncLatency());
   }
-  ~SnapperBankSilo() { runtime.reset(); }  // runtime drains before env dies
-};
-
-/// An OrleansTxn silo with SmallBank registered.
-struct OtxnBankSilo {
-  std::unique_ptr<MemEnv> env = MakeBenchEnv();
-  std::unique_ptr<otxn::OtxnRuntime> runtime;
-  uint32_t actor_type = 0;
-
-  explicit OtxnBankSilo(otxn::OtxnConfig config) {
-    runtime = std::make_unique<otxn::OtxnRuntime>(config, env.get());
-    actor_type = runtime->RegisterActorType("SmallBank", [](uint64_t) {
-      return std::make_shared<smallbank::SmallBankLogic<otxn::OtxnActor>>();
-    });
-  }
-  ~OtxnBankSilo() { runtime.reset(); }
-};
+  otxn::OtxnConfig config;
+  config.num_workers = 4;
+  return std::make_unique<OtxnTxnSystem>(config, BenchSyncLatency());
+}
 
 /// A Snapper silo with TPC-C registered.
 struct SnapperTpccSilo {
-  std::unique_ptr<MemEnv> env = MakeBenchEnv();
+  MemEnv env;
   std::unique_ptr<SnapperRuntime> runtime;
   tpcc::TpccTypes types;
 
   explicit SnapperTpccSilo(SnapperConfig config) {
-    runtime = std::make_unique<SnapperRuntime>(config, env.get());
+    env.set_sync_latency(BenchSyncLatency());
+    runtime = std::make_unique<SnapperRuntime>(config, &env);
     types = tpcc::RegisterTpcc(*runtime);
     runtime->Start();
   }

@@ -29,9 +29,9 @@ int main() {
     Cell cell;
     auto run = [&](TxnMode mode, bool logging) -> BenchResult {
       SnapperConfig config = harness::SnapperConfigForCores(4, logging);
-      SnapperBankSilo silo(config);
+      SnapperTxnSystem silo(config, BenchSyncLatency());
       SmallBankWorkloadConfig workload;
-      workload.actor_type = silo.actor_type;
+      workload.actor_type = silo.actor_type();
       workload.num_actors = kActors;
       workload.txn_size = txnsize;
       workload.pact_fraction =
@@ -46,7 +46,7 @@ int main() {
         };
       }
       ClientConfig client = BenchClientConfig(mode, false, 64);
-      return RunBench(client, generator, harness::SnapperSubmit(*silo.runtime));
+      return RunBench(client, generator, silo.submitter());
     };
 
     cell.nt = run(TxnMode::kNt, false).Throughput();

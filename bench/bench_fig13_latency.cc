@@ -16,15 +16,15 @@ int main() {
 
   for (int txnsize : {2, 4, 8, 16, 32, 64}) {
     for (TxnMode mode : {TxnMode::kPact, TxnMode::kAct}) {
-      SnapperBankSilo silo(harness::SnapperConfigForCores(4, true));
+      const auto silo = BankSilo(/*otxn=*/false);
       SmallBankWorkloadConfig workload;
-      workload.actor_type = silo.actor_type;
+      workload.actor_type = silo->actor_type();
       workload.num_actors = 10000;
       workload.txn_size = txnsize;
       workload.pact_fraction = mode == TxnMode::kPact ? 1.0 : 0.0;
       ClientConfig client = BenchClientConfig(mode, false, 64);
       BenchResult r = RunBench(client, MakeSmallBankGenerator(workload),
-                               harness::SnapperSubmit(*silo.runtime));
+                               silo->submitter());
       std::printf("%8d %6s %10.1f %10.1f %10.1f\n", txnsize,
                   mode == TxnMode::kPact ? "PACT" : "ACT",
                   r.totals.latency.Quantile(0.5) / 1000.0,

@@ -24,42 +24,25 @@ int main() {
     workload.distribution = level.distribution;
     workload.zipf_s = level.zipf_s;
 
-    // PACT on Snapper.
-    {
-      SnapperBankSilo silo(harness::SnapperConfigForCores(4, true));
-      workload.actor_type = silo.actor_type;
-      workload.pact_fraction = 1.0;
-      workload.deadlock_free = false;
-      BenchResult r = RunBench(BenchClientConfig(TxnMode::kPact, skewed),
+    struct Series {
+      const char* name;
+      bool otxn;
+      TxnMode mode;
+      bool deadlock_free;
+    };
+    for (const Series& series :
+         {Series{"PACT", false, TxnMode::kPact, false},
+          Series{"ACT", false, TxnMode::kAct, false},
+          Series{"OrleansTxn", true, TxnMode::kAct, false},
+          Series{"OrleansTxn(dl-free)", true, TxnMode::kAct, true}}) {
+      const auto silo = BankSilo(series.otxn);
+      workload.actor_type = silo->actor_type();
+      workload.pact_fraction = series.mode == TxnMode::kPact ? 1.0 : 0.0;
+      workload.deadlock_free = series.deadlock_free;
+      BenchResult r = RunBench(BenchClientConfig(series.mode, skewed),
                                MakeSmallBankGenerator(workload),
-                               harness::SnapperSubmit(*silo.runtime));
-      PrintRow(std::string(level.name) + " / PACT", r);
-    }
-    // ACT on Snapper.
-    {
-      SnapperBankSilo silo(harness::SnapperConfigForCores(4, true));
-      workload.actor_type = silo.actor_type;
-      workload.pact_fraction = 0.0;
-      workload.deadlock_free = false;
-      BenchResult r = RunBench(BenchClientConfig(TxnMode::kAct, skewed),
-                               MakeSmallBankGenerator(workload),
-                               harness::SnapperSubmit(*silo.runtime));
-      PrintRow(std::string(level.name) + " / ACT", r);
-    }
-    // OrleansTxn baseline.
-    for (bool deadlock_free : {false, true}) {
-      otxn::OtxnConfig config;
-      config.num_workers = 4;
-      OtxnBankSilo silo(config);
-      workload.actor_type = silo.actor_type;
-      workload.pact_fraction = 0.0;
-      workload.deadlock_free = deadlock_free;
-      BenchResult r = RunBench(BenchClientConfig(TxnMode::kAct, skewed),
-                               MakeSmallBankGenerator(workload),
-                               harness::OtxnSubmit(*silo.runtime));
-      PrintRow(std::string(level.name) +
-                   (deadlock_free ? " / OrleansTxn(dl-free)" : " / OrleansTxn"),
-               r);
+                               silo->submitter());
+      PrintRow(std::string(level.name) + " / " + series.name, r);
     }
   }
   return 0;

@@ -56,25 +56,14 @@ int main() {
       std::fflush(stdout);
     };
 
-    {
-      SnapperBankSilo silo(harness::SnapperConfigForCores(4, true));
+    for (bool otxn : {false, true}) {
+      const auto silo = BankSilo(otxn);
       ClientConfig client = BenchClientConfig(TxnMode::kAct, false, 1);
       client.num_clients = 1;
-      BenchResult r = RunBench(client, MakeSmallBankGenerator(
-                                           configure(silo.actor_type)),
-                               harness::SnapperSubmit(*silo.runtime));
-      report("ACT", r);
-    }
-    {
-      otxn::OtxnConfig config;
-      config.num_workers = 4;
-      OtxnBankSilo silo(config);
-      ClientConfig client = BenchClientConfig(TxnMode::kAct, false, 1);
-      client.num_clients = 1;
-      BenchResult r = RunBench(client, MakeSmallBankGenerator(
-                                           configure(silo.actor_type)),
-                               harness::OtxnSubmit(*silo.runtime));
-      report("OrleansTxn", r);
+      BenchResult r = RunBench(
+          client, MakeSmallBankGenerator(configure(silo->actor_type())),
+          silo->submitter());
+      report(otxn ? "OrleansTxn" : "ACT", r);
     }
   }
   return 0;

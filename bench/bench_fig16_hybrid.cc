@@ -26,9 +26,9 @@ int main() {
   for (const auto& level : harness::kSkewLevels) {
     const bool skewed = level.zipf_s >= 1.0;
     for (double pact_fraction : kPactPercents) {
-      SnapperBankSilo silo(harness::SnapperConfigForCores(4, true));
+      const auto silo = BankSilo(/*otxn=*/false);
       SmallBankWorkloadConfig workload;
-      workload.actor_type = silo.actor_type;
+      workload.actor_type = silo->actor_type();
       workload.num_actors = 10000;
       workload.txn_size = 4;
       workload.distribution = level.distribution;
@@ -40,7 +40,7 @@ int main() {
           pact_fraction >= 0.5 ? TxnMode::kPact : TxnMode::kAct, skewed);
       client.num_clients = 2;
       BenchResult r = RunBench(client, MakeSmallBankGenerator(workload),
-                               harness::SnapperSubmit(*silo.runtime));
+                               silo->submitter());
       std::printf(
           "%10s %5.0f%% | %9.0f %9.0f %9.0f | %8.1f %8.1f %8.1f %8.1f | "
           "%6.1f%% %6.1f%% %6.1f%% %6.1f%%\n",

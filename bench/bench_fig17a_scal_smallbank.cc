@@ -24,10 +24,12 @@ int main() {
     const auto scale = harness::ScaleForCores(cores);
     for (bool hotspot : {false, true}) {
       for (const char* mode_name : {"PACT", "ACT", "hybrid90", "NT"}) {
-        SnapperBankSilo silo(harness::SnapperConfigForCores(
-            cores, std::string(mode_name) != "NT"));
+        SnapperTxnSystem silo(
+            harness::SnapperConfigForCores(cores,
+                                           std::string(mode_name) != "NT"),
+            BenchSyncLatency());
         SmallBankWorkloadConfig workload;
-        workload.actor_type = silo.actor_type;
+        workload.actor_type = silo.actor_type();
         workload.num_actors = scale.smallbank_actors;
         workload.txn_size = 4;
         if (hotspot) {
@@ -59,8 +61,7 @@ int main() {
         }
         ClientConfig client = BenchClientConfig(
             mode == TxnMode::kAct ? TxnMode::kAct : TxnMode::kPact, hotspot);
-        BenchResult r = RunBench(client, generator,
-                                 harness::SnapperSubmit(*silo.runtime));
+        BenchResult r = RunBench(client, generator, silo.submitter());
         char label[96];
         std::snprintf(label, sizeof(label), "%zu cores / %s / %s", cores,
                       hotspot ? "hotspot" : "uniform", mode_name);

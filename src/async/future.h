@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <coroutine>
 #include <exception>
 #include <functional>
@@ -123,6 +124,15 @@ class FutureState {
     cv_.Wait(mu_, [this]() REQUIRES(mu_) { return value_.index() != 0; });
   }
 
+  /// Wait() bounded by `timeout`; returns whether the state resolved.
+  template <typename Rep, typename Period>
+  bool WaitWithin(const std::chrono::duration<Rep, Period>& timeout) const {
+    MutexLock lock(&mu_);
+    return cv_.WaitFor(mu_, timeout, [this]() REQUIRES(mu_) {
+      return value_.index() != 0;
+    });
+  }
+
   /// Requires ready(). Returns a copy of the value or rethrows.
   V Get() const {
     MutexLock lock(&mu_);
@@ -183,6 +193,12 @@ class Future {
   V Get() const {
     state_->Wait();
     return state_->Get();
+  }
+
+  /// Get()'s wait bounded by `timeout` (a watchdog); returns ready().
+  template <typename Rep, typename Period>
+  bool WaitWithin(const std::chrono::duration<Rep, Period>& timeout) const {
+    return state_->WaitWithin(timeout);
   }
 
   /// Non-blocking: requires ready().

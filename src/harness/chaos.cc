@@ -9,48 +9,45 @@
 #include <thread>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/rng.h"
-#include "otxn/otxn_runtime.h"
-#include "snapper/snapper_runtime.h"
+#include "harness/txn_system.h"
 #include "trace/trace_session.h"
 #include "wal/checkpoint.h"
-#include "wal/fault_env.h"
 #include "workloads/smallbank.h"
 
 namespace snapper::harness {
 namespace {
 
-constexpr double kPerAccount =
-    smallbank::kInitialChecking + smallbank::kInitialSavings;
 constexpr double kEps = 1e-6;
 
-/// An acked abort whose reason implies the transaction never entered the
-/// durable commit path — invisible after recovery, no matter when the crash
-/// hit. Everything else (kCascading, kSystemFailure, plain IOError from the
-/// degraded-WAL fast path or a failed log write) races the crash: the
-/// decision that produced the ack may or may not match what recovery derives
-/// from the surviving log prefix, so either outcome is legal.
-bool IsDeterministicAbort(const Status& status) {
-  if (!status.IsTxnAborted()) return false;
-  switch (status.abort_reason()) {
-    case AbortReason::kUserAbort:
-    case AbortReason::kActActConflict:
-    case AbortReason::kPactActDeadlock:
-    case AbortReason::kIncompleteAfterSet:
-    case AbortReason::kSerializabilityCheck:
-      return true;
-    default:
-      return false;
-  }
-}
+// Decodable chaos traffic (storage and actor rounds): transaction i moves
+// kAmount from a random root account 0..kNumRoots-1 into the fresh account
+// kNumRoots + i, so that account's final balance alone decodes i's fate.
+constexpr int kNumRoots = 6;
+constexpr double kAmount = 10.0;
+
+/// Storage rounds without a caller-chosen fault_sync fail a seed-derived
+/// sync in [1, kMaxFaultSync].
+constexpr uint64_t kMaxFaultSync = 12;
+
+// Actor rounds. Injected message delays last up to kMsgMaxDelayMs. A
+// scripted drop loses only the Nth droppable message (sticky would also drop
+// every one after it). Snapper's liveness deadlines: a stalled batch aborts
+// after kBatchDeadline, a prepared ACT participant re-resolves after
+// kActResolutionDeadline, and the per-transaction client deadline is off
+// (0), so every outcome comes from the protocol and its watchdogs.
+constexpr uint32_t kMsgMaxDelayMs = 2;
+constexpr bool kDropSticky = false;
+constexpr std::chrono::milliseconds kBatchDeadline{250};
+constexpr std::chrono::milliseconds kActResolutionDeadline{100};
+constexpr std::chrono::milliseconds kTxnDeadline{0};
+
+// Bounded recovery: a fixed pool of accounts transferring among themselves.
+constexpr uint64_t kRecoveryAccounts = 4;
+constexpr double kRecoveryAmount = 1.0;
 
 SnapperConfig ChaosConfig(uint64_t seed) {
-  SnapperConfig config;
-  config.num_workers = 2;
-  config.num_coordinators = 2;
-  config.num_loggers = 2;
-  config.seed = seed;
+  SnapperConfig config = SmallSnapperConfig(seed);
   // Short epochs: the round submits a couple dozen transactions and we want
   // them spread over several batches so the fault can land between batch
   // protocol steps, not only inside one giant batch.
@@ -58,167 +55,169 @@ SnapperConfig ChaosConfig(uint64_t seed) {
   return config;
 }
 
-struct Gate {
-  Mutex mu;
-  CondVar cv;
-  bool done GUARDED_BY(mu) = false;
+/// One round's decodable traffic, as submitted.
+struct Traffic {
+  std::vector<Future<TxnResult>> txns;
+  std::vector<bool> is_act;
+  std::vector<Future<Unit>> kill_acks;
 };
+
+/// Submits `num_txns` decodable transfers; once a third of them are in,
+/// fail-stop kills `num_kills` random accounts. Per transaction the seed
+/// draws the root, then (on a stack with PACTs) the ACT coin.
+Traffic SubmitDecodable(TxnSystem& sys, Rng& rng, int num_txns,
+                        double act_fraction, int num_kills) {
+  Traffic traffic;
+  traffic.txns.reserve(num_txns);
+  const uint32_t type = sys.actor_type();
+  const int kill_at = std::max(1, num_txns / 3);
+  for (int i = 0; i < num_txns; ++i) {
+    if (i == kill_at) {
+      for (int k = 0; k < num_kills; ++k) {
+        const ActorId victim{type, rng.Uniform(kNumRoots + num_txns)};
+        traffic.kill_acks.push_back(sys.Kill(victim));
+      }
+    }
+    const uint64_t from = rng.Uniform(kNumRoots);
+    const uint64_t to = kNumRoots + i;
+    TxnRequest request;
+    request.root = ActorId{type, from};
+    request.method = "MultiTransfer";
+    request.input = smallbank::MultiTransferInput(kAmount, {to});
+    const bool act = !sys.has_pact() || rng.NextDouble() < act_fraction;
+    request.mode = act ? TxnMode::kAct : TxnMode::kPact;
+    if (!act) {
+      request.info =
+          smallbank::SmallBankActor::MultiTransferAccessInfo(type, from, {to});
+    }
+    traffic.is_act.push_back(act);
+    traffic.txns.push_back(sys.Submit(std::move(request)));
+  }
+  return traffic;
+}
+
+/// Waits for every transaction and kill ack under one deadline. Returns
+/// false on watchdog expiry.
+bool AwaitTraffic(const Traffic& traffic, double watchdog_seconds) {
+  const std::vector<Future<Unit>> parts = {WhenAll(traffic.txns),
+                                           WhenAll(traffic.kill_acks)};
+  return WhenAll(parts).WaitWithin(
+      std::chrono::duration<double>(watchdog_seconds));
+}
+
+/// The violation of a round whose watchdog expired; counts the unresolved
+/// transactions into `*unresolved`.
+std::string HangViolation(const Traffic& traffic, double watchdog_seconds,
+                          int* unresolved) {
+  for (const auto& f : traffic.txns) {
+    if (!f.ready()) ++*unresolved;
+  }
+  int kills_pending = 0;
+  for (const auto& f : traffic.kill_acks) {
+    if (!f.ready()) kills_pending++;
+  }
+  std::ostringstream os;
+  os << "hang: " << *unresolved << "/" << traffic.txns.size()
+     << " txn futures and " << kills_pending << "/"
+     << traffic.kill_acks.size() << " kill acks unresolved after "
+     << watchdog_seconds << "s";
+  return os.str();
+}
+
+/// Classifies every ack and tallies the report's committed / aborted /
+/// in_doubt counts.
+template <typename Report>
+std::vector<AckOutcome> TallyAcks(const TxnSystem& sys,
+                                  const Traffic& traffic, Report& report) {
+  std::vector<AckOutcome> outcomes;
+  outcomes.reserve(traffic.txns.size());
+  for (const auto& f : traffic.txns) {
+    const AckOutcome outcome = sys.Classify(f.Peek().status);
+    report.committed += outcome == AckOutcome::kCommitted;
+    report.aborted += outcome == AckOutcome::kAborted;
+    report.in_doubt += outcome == AckOutcome::kInDoubt;
+    outcomes.push_back(outcome);
+  }
+  return outcomes;
+}
+
+/// Audits every account through `sys` into `*total` and returns the
+/// violations: conservation, plus each transaction's decoded fate against
+/// its ack. Acked-committed must be durable and decided aborts invisible;
+/// in-doubt outcomes may be either, but conservation and the
+/// unexplained-balance check still constrain them.
+std::string AuditDecodedBalances(TxnSystem& sys, const Traffic& traffic,
+                                 const std::vector<AckOutcome>& outcomes,
+                                 double expected_total, double* total) {
+  const size_t num_txns = traffic.txns.size();
+  std::ostringstream violations;
+  violations.precision(15);  // balances are ~2e7-scale; show unit deltas
+  std::vector<double> balance(kNumRoots + num_txns, 0);
+  *total = AuditBalances(sys, expected_total, &balance, violations);
+  for (size_t i = 0; i < num_txns; ++i) {
+    const double b = balance[kNumRoots + i];
+    const bool durable = std::fabs(b - (kInitialBalance + kAmount)) <= kEps;
+    const bool invisible = std::fabs(b - kInitialBalance) <= kEps;
+    const char* kind = traffic.is_act[i] ? "ACT" : "PACT";
+    if (!durable && !invisible) {
+      violations << kind << " txn " << i << ": unexplained balance " << b
+                 << "; ";
+    } else if (outcomes[i] == AckOutcome::kCommitted && !durable) {
+      violations << kind << " txn " << i
+                 << ": acked committed but not durable; ";
+    } else if (outcomes[i] == AckOutcome::kAborted && !invisible) {
+      violations << kind << " txn " << i << ": acked abort ("
+                 << traffic.txns[i].Peek().status.ToString()
+                 << ") but effects durable; ";
+    }
+  }
+  return violations.str();
+}
 
 }  // namespace
 
 ChaosReport RunSmallBankChaos(const ChaosOptions& options) {
   ChaosReport report;
   Rng rng(options.seed);
+  const int num_accounts = kNumRoots + options.num_txns;
+  report.expected_total = kInitialBalance * num_accounts;
 
-  MemEnv base;
-  FaultInjectionEnv env(&base);
-  const SnapperConfig config = ChaosConfig(options.seed);
-  const int num_accounts = options.num_roots + options.num_txns;
-  report.expected_total = kPerAccount * num_accounts;
-
-  // --- Phase 1: run a faulted round. The runtime is leaked (released, not
+  // --- Phase 1: run a faulted round. The system is leaked (released, not
   // destroyed) if the watchdog expires: a destructor that joins workers
   // blocked on a hung future would turn the reported violation into a test
   // binary timeout.
-  auto rt = std::make_unique<SnapperRuntime>(config, &env);
-  const uint32_t type = smallbank::RegisterSmallBank(*rt);
-  rt->Start();
-
+  auto sys = std::make_unique<SnapperTxnSystem>(ChaosConfig(options.seed));
   if (options.inject_fault) {
     report.fault_sync = options.fault_sync != 0
                             ? options.fault_sync
-                            : 1 + rng.Uniform(options.max_fault_sync);
+                            : 1 + rng.Uniform(kMaxFaultSync);
     report.sticky = rng.NextDouble() < options.sticky_probability;
-    env.FailNth(FaultInjectionEnv::Op::kSync, report.fault_sync,
-                report.sticky);
+    sys->fault_env().FailNth(FaultInjectionEnv::Op::kSync, report.fault_sync,
+                             report.sticky);
   }
-
-  std::vector<Future<TxnResult>> futures;
-  std::vector<bool> is_act;
-  futures.reserve(options.num_txns);
-  for (int i = 0; i < options.num_txns; ++i) {
-    const uint64_t from = rng.Uniform(options.num_roots);
-    const uint64_t to = options.num_roots + i;
-    const bool act = rng.NextDouble() < options.act_fraction;
-    is_act.push_back(act);
-    Value input =
-        smallbank::MultiTransferInput(options.amount, {to});
-    if (act) {
-      futures.push_back(rt->SubmitAct(ActorId{type, from}, "MultiTransfer",
-                                      std::move(input)));
-    } else {
-      futures.push_back(rt->SubmitPact(
-          ActorId{type, from}, "MultiTransfer", std::move(input),
-          smallbank::SmallBankActor::MultiTransferAccessInfo(type, from,
-                                                             {to})));
-    }
+  const Traffic traffic = SubmitDecodable(*sys, rng, options.num_txns,
+                                          options.act_fraction,
+                                          /*num_kills=*/0);
+  if (!AwaitTraffic(traffic, options.watchdog_seconds)) {
+    report.violation = HangViolation(traffic, options.watchdog_seconds,
+                                     &report.unresolved);
+    sys.release();  // deliberate leak, see above
+    return report;
   }
-
-  // Watchdog: the shared_ptr gate outlives this frame, so a late OnReady
-  // from a leaked runtime cannot touch dead stack memory.
-  auto gate = std::make_shared<Gate>();
-  WhenAll(futures).OnReady([gate]() {
-    MutexLock lock(&gate->mu);
-    gate->done = true;
-    gate->cv.NotifyAll();
-  });
-  {
-    MutexLock lock(&gate->mu);
-    const bool resolved = gate->cv.WaitFor(
-        gate->mu, std::chrono::duration<double>(options.watchdog_seconds),
-        [&gate]() REQUIRES(gate->mu) { return gate->done; });
-    if (!resolved) {
-      for (const auto& f : futures) {
-        if (!f.ready()) report.unresolved++;
-      }
-      std::ostringstream os;
-      os << "hang: " << report.unresolved << "/" << options.num_txns
-         << " futures unresolved after " << options.watchdog_seconds << "s";
-      report.violation = os.str();
-      rt.release();  // deliberate leak, see above
-      return report;
-    }
-  }
-
-  std::vector<Status> outcomes;
-  outcomes.reserve(options.num_txns);
-  for (const auto& f : futures) {
-    outcomes.push_back(f.Peek().status);
-    if (outcomes.back().ok()) {
-      report.committed++;
-    } else if (IsDeterministicAbort(outcomes.back())) {
-      report.aborted++;
-    } else {
-      report.in_doubt++;
-    }
-  }
+  const std::vector<AckOutcome> outcomes = TallyAcks(*sys, traffic, report);
 
   // --- Phase 2: crash, replace the device, recover.
-  rt.reset();  // silo dies: loggers close, in-memory state vanishes
-  report.fault_fired = env.faults_injected() > 0;
-  Status crash_status = env.Crash(options.tear_bytes);
-  env.ClearFaults();
-  if (!crash_status.ok()) {
-    report.violation = "Crash(): " + crash_status.ToString();
+  const Status reopened = sys->Reopen(num_accounts);
+  report.fault_fired = sys->fault_env().faults_injected() > 0;
+  if (!reopened.ok()) {
+    report.violation = reopened.ToString();
     return report;
   }
-
-  SnapperRuntime recovered(config, &env);
-  const uint32_t rtype = smallbank::RegisterSmallBank(recovered);
-  auto recovery = recovered.Recover();
-  if (!recovery.ok()) {
-    report.violation = "Recover(): " + recovery.status().ToString();
-    return report;
-  }
-  recovered.Start();
 
   // --- Phase 3: invariants over recovered balances.
-  std::ostringstream violations;
-  violations.precision(15);  // balances are ~2e7-scale; show unit deltas
-  double total = 0;
-  std::vector<double> balance(num_accounts, 0);
-  for (int a = 0; a < num_accounts; ++a) {
-    TxnResult r =
-        recovered.RunNt(ActorId{rtype, static_cast<uint64_t>(a)}, "Balance",
-                        Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    balance[a] = r.value.AsDouble();
-    total += balance[a];
-  }
-  report.total_balance = total;
-
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-
-  // Each transaction i deposits into the fresh account num_roots + i, so
-  // that account's balance decodes whether i's effects survived.
-  for (int i = 0; i < options.num_txns; ++i) {
-    const double b = balance[options.num_roots + i];
-    const bool durable = std::fabs(b - (kPerAccount + options.amount)) <= kEps;
-    const bool invisible = std::fabs(b - kPerAccount) <= kEps;
-    const Status& s = outcomes[i];
-    const char* kind = is_act[i] ? "ACT" : "PACT";
-    if (!durable && !invisible) {
-      violations << kind << " txn " << i << ": unexplained balance " << b
-                 << "; ";
-    } else if (s.ok() && !durable) {
-      violations << kind << " txn " << i
-                 << ": acked committed but not durable; ";
-    } else if (IsDeterministicAbort(s) && !invisible) {
-      violations << kind << " txn " << i << ": acked abort ("
-                 << s.ToString() << ") but effects durable; ";
-    }
-    // In-doubt outcomes: either balance is legal; conservation and the
-    // unexplained-balance check above still constrain them.
-  }
-
-  report.violation = violations.str();
+  report.violation = AuditDecodedBalances(*sys, traffic, outcomes,
+                                          report.expected_total,
+                                          &report.total_balance);
   return report;
 }
 
@@ -260,21 +259,11 @@ std::string ActorChaosReport::ToJson() const {
 
 namespace {
 
-/// Deterministic-abort set for actor-chaos rounds: everything in
-/// IsDeterministicAbort plus kActorFailed — a transaction acked with
-/// actor-failed never reached the durable commit path (the failed access
-/// keeps its batch from completing / its 2PC from preparing).
-bool IsDeterministicActorAbort(const Status& status) {
-  if (IsDeterministicAbort(status)) return true;
-  return status.IsTxnAborted() &&
-         status.abort_reason() == AbortReason::kActorFailed;
-}
-
 void ArmMessageFaults(MessageFaultInjector& faults,
                       const ActorChaosOptions& options) {
   if (options.drop_nth > 0) {
     faults.FailNth(MessageFaultInjector::Action::kDrop, options.drop_nth,
-                   options.drop_sticky);
+                   kDropSticky);
   }
   if (options.msg_drop_p > 0 || options.msg_dup_p > 0 ||
       options.msg_delay_p > 0) {
@@ -282,54 +271,45 @@ void ArmMessageFaults(MessageFaultInjector& faults,
     mf.drop_probability = options.msg_drop_p;
     mf.duplicate_probability = options.msg_dup_p;
     mf.delay_probability = options.msg_delay_p;
-    mf.max_delay_ms = options.msg_max_delay_ms;
+    mf.max_delay_ms = kMsgMaxDelayMs;
     // Distinct stream: the fault coin flips must not correlate with the
     // traffic generator's choices.
     faults.InjectProbabilistically(mf, Rng::Derive(options.seed, 0xfa));
   }
 }
 
-void CopyFaultCounters(const MessageFaultInjector& faults,
-                       ActorChaosReport& report) {
+/// Copies the message-fault, retirement, watchdog and checkpoint counters
+/// into the report. A finished round and a hung one both take it: a hang
+/// report without the watchdog / checkpoint numbers is undebuggable after
+/// the fact.
+void SnapshotCounters(TxnSystem& sys, ActorChaosReport& report) {
+  const MessageFaultInjector& faults = sys.runtime().msg_faults();
   report.msgs_total = faults.messages();
   report.msgs_dropped = faults.dropped();
   report.msgs_duplicated = faults.duplicated();
   report.msgs_delayed = faults.delayed();
+  report.retired_activations = sys.runtime().num_retired();
+  const MessageCounters& c = sys.counters();
+  report.actor_kills = c.actor_kills.load();
+  report.reactivations = c.reactivations.load();
+  report.reactivation_us = c.reactivation_us.load();
+  report.watchdog_batch_aborts = c.watchdog_batch_aborts.load();
+  report.watchdog_act_aborts = c.watchdog_act_aborts.load();
+  report.watchdog_act_resolutions = c.watchdog_act_resolutions.load();
+  report.txn_deadline_aborts = c.txn_deadline_aborts.load();
+  report.checkpoints_taken = c.checkpoints_taken.load();
+  report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
+  report.wal_segments_truncated = c.wal_segments_truncated.load();
+  report.wal_bytes_truncated = c.wal_bytes_truncated.load();
+  report.recovery_replay_records = c.recovery_replay_records.load();
+  report.recovery_time_us = c.recovery_time_us.load();
 }
-
-/// Checkpoint turns trail the last transaction asynchronously (threshold
-/// request → actor turn → checkpoint append → group flush), so a round that
-/// reads its counters the instant the last future resolves would miss them.
-/// Polls the checkpoint stats until they are stable across two samples (or
-/// ~500 ms), which bounds the wait without hard-coding a flush latency.
-void DrainCheckpoints(LogManager& log) {
-  const auto* cp = log.checkpoints();
-  if (cp == nullptr) return;
-  uint64_t last_fingerprint = ~uint64_t{0};
-  for (int i = 0; i < 25; ++i) {
-    const uint64_t fingerprint =
-        cp->stats().checkpoints_durable.load() * 1000003 +
-        cp->stats().checkpoint_requests.load() * 1009 +
-        cp->stats().lag_bytes.load();
-    if (fingerprint == last_fingerprint) return;
-    last_fingerprint = fingerprint;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-}
-
-/// Waits for `gates` WhenAll arrivals with one deadline. Returns false on
-/// watchdog expiry.
-struct ArrivalGate {
-  Mutex mu;
-  CondVar cv;
-  int remaining GUARDED_BY(mu) = 0;
-};
 
 /// Opens the trace session requested by `options` (replay wins over record)
 /// and attaches its hooks. Returns false — with report.violation set — when
-/// a replay trace fails to load. Call *before* constructing the runtime so
-/// its construction-time posts are part of the trace; the session must be
-/// declared before the runtime so it is destroyed after it.
+/// a replay trace fails to load. Call *before* building the system so its
+/// construction-time posts are part of the trace; the session must be
+/// declared before the system so it is destroyed after it.
 bool OpenTraceSession(const ActorChaosOptions& options,
                       ActorChaosReport& report,
                       std::unique_ptr<trace::TraceSession>* session) {
@@ -350,12 +330,21 @@ bool OpenTraceSession(const ActorChaosOptions& options,
   return true;
 }
 
+/// Detaches the session's hooks and copies the trace outcome into the
+/// report. A record-mode Detach writes the (possibly partial) trace.
+void DetachTraceSession(trace::TraceSession& session,
+                        ActorChaosReport& report) {
+  session.Detach();
+  report.trace_turns = session.turn_count();
+  report.trace_divergence = session.divergence();
+}
+
 /// Appends (record) or checks (replay) the deterministic counter snapshot,
-/// detaches the hooks, and copies the trace outcome into the report. Only
-/// outcome counters that are fixed once the submitted futures resolve are
-/// compared — msgs_* / reactivation / checkpoint counters keep moving with
-/// trailing turns after the ack and are cut-point-sensitive (DESIGN.md §4g);
-/// per-turn state digests carry the bit-identical claim for those paths.
+/// then detaches. Only outcome counters that are fixed once the submitted
+/// futures resolve are compared — msgs_* / reactivation / checkpoint
+/// counters keep moving with trailing turns after the ack and are
+/// cut-point-sensitive (DESIGN.md §4g); per-turn state digests carry the
+/// bit-identical claim for those paths.
 void FinishTraceSession(std::unique_ptr<trace::TraceSession>& session,
                         ActorChaosReport& report) {
   if (session == nullptr) return;
@@ -365,398 +354,74 @@ void FinishTraceSession(std::unique_ptr<trace::TraceSession>& session,
        {"in_doubt", static_cast<uint64_t>(report.in_doubt)},
        {"unresolved", static_cast<uint64_t>(report.unresolved)},
        {"actor_kills", report.actor_kills}});
-  session->Detach();
-  report.trace_turns = session->turn_count();
-  report.trace_divergence = session->divergence();
+  DetachTraceSession(*session, report);
 }
 
-ActorChaosReport RunSnapperActorChaos(const ActorChaosOptions& options) {
+}  // namespace
+
+ActorChaosReport RunActorChaos(
+    const ActorChaosOptions& options,
+    const std::function<std::unique_ptr<TxnSystem>()>& open) {
   ActorChaosReport report;
   Rng rng(options.seed);
+  const int num_accounts = kNumRoots + options.num_txns;
+  report.expected_total = kInitialBalance * num_accounts;
 
-  // Healthy storage wrapped in FaultInjectionEnv only for its Crash()
-  // (silo-death) semantics at phase 2; no storage faults are armed.
-  MemEnv base;
-  FaultInjectionEnv env(&base);
-  SnapperConfig config = ChaosConfig(options.seed);
-  config.batch_deadline = options.batch_deadline;
-  config.act_resolution_deadline = options.act_resolution_deadline;
-  config.txn_deadline = options.txn_deadline;
-  config.wal_segment_bytes = options.wal_segment_bytes;
-  config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
-  const int num_accounts = options.num_roots + options.num_txns;
-  report.expected_total = kPerAccount * num_accounts;
-
-  // Declared before the runtime: in-flight turns may still be inside hook
+  // Declared before the system: in-flight turns may still be inside hook
   // calls until the workers park, so the session must be destroyed last.
   std::unique_ptr<trace::TraceSession> session;
   if (!OpenTraceSession(options, report, &session)) return report;
 
   // Leaked (released, not destroyed) if the watchdog expires; see
   // RunSmallBankChaos.
-  auto rt = std::make_unique<SnapperRuntime>(config, &env);
-  const uint32_t type = smallbank::RegisterSmallBank(*rt);
-  rt->Start();
+  std::unique_ptr<TxnSystem> sys = open();
+  ArmMessageFaults(sys->runtime().msg_faults(), options);
+  const Traffic traffic =
+      SubmitDecodable(*sys, rng, options.num_txns, options.act_fraction,
+                      options.num_kills);
 
-  auto& faults = rt->runtime().msg_faults();
-  ArmMessageFaults(faults, options);
-
-  std::vector<Future<TxnResult>> futures;
-  std::vector<Future<Unit>> kill_acks;
-  std::vector<bool> is_act;
-  futures.reserve(options.num_txns);
-  const int kill_at = std::max(1, options.num_txns / 3);
-  for (int i = 0; i < options.num_txns; ++i) {
-    if (i == kill_at) {
-      for (int k = 0; k < options.num_kills; ++k) {
-        const auto victim = ActorId{type, rng.Uniform(num_accounts)};
-        kill_acks.push_back(rt->KillActor(victim));
-      }
+  if (!AwaitTraffic(traffic, options.watchdog_seconds)) {
+    report.violation = HangViolation(traffic, options.watchdog_seconds,
+                                     &report.unresolved);
+    SnapshotCounters(*sys, report);
+    if (session != nullptr) {
+      // Leaked alongside the system: leaked workers may hold references
+      // into it.
+      DetachTraceSession(*session, report);
+      session.release();
     }
-    const uint64_t from = rng.Uniform(options.num_roots);
-    const uint64_t to = options.num_roots + i;
-    const bool act = rng.NextDouble() < options.act_fraction;
-    is_act.push_back(act);
-    Value input = smallbank::MultiTransferInput(options.amount, {to});
-    if (act) {
-      futures.push_back(rt->SubmitAct(ActorId{type, from}, "MultiTransfer",
-                                      std::move(input)));
-    } else {
-      futures.push_back(rt->SubmitPact(
-          ActorId{type, from}, "MultiTransfer", std::move(input),
-          smallbank::SmallBankActor::MultiTransferAccessInfo(type, from,
-                                                             {to})));
-    }
-  }
-
-  auto gate = std::make_shared<ArrivalGate>();
-  {
-    MutexLock lock(&gate->mu);
-    gate->remaining = 2;
-  }
-  auto arrive = [gate]() {
-    MutexLock lock(&gate->mu);
-    if (--gate->remaining == 0) gate->cv.NotifyAll();
-  };
-  WhenAll(futures).OnReady(arrive);
-  WhenAll(kill_acks).OnReady(arrive);
-  {
-    MutexLock lock(&gate->mu);
-    const bool resolved = gate->cv.WaitFor(
-        gate->mu, std::chrono::duration<double>(options.watchdog_seconds),
-        [&gate]() REQUIRES(gate->mu) { return gate->remaining == 0; });
-    if (!resolved) {
-      for (const auto& f : futures) {
-        if (!f.ready()) report.unresolved++;
-      }
-      int kills_pending = 0;
-      for (const auto& f : kill_acks) {
-        if (!f.ready()) kills_pending++;
-      }
-      std::ostringstream os;
-      os << "hang: " << report.unresolved << "/" << options.num_txns
-         << " txn futures and " << kills_pending << "/" << kill_acks.size()
-         << " kill acks unresolved after " << options.watchdog_seconds << "s";
-      report.violation = os.str();
-      CopyFaultCounters(faults, report);
-      // Snapshot the runtime counters too: a hang report without the
-      // watchdog / checkpoint numbers is undebuggable after the fact.
-      rt->SyncWalCounters();
-      const auto& hc = rt->context().counters;
-      report.actor_kills = hc.actor_kills.load();
-      report.reactivations = hc.reactivations.load();
-      report.watchdog_batch_aborts = hc.watchdog_batch_aborts.load();
-      report.watchdog_act_aborts = hc.watchdog_act_aborts.load();
-      report.watchdog_act_resolutions = hc.watchdog_act_resolutions.load();
-      report.txn_deadline_aborts = hc.txn_deadline_aborts.load();
-      report.checkpoints_taken = hc.checkpoints_taken.load();
-      report.recovery_replay_records = hc.recovery_replay_records.load();
-      if (session != nullptr) {
-        // Uninstall the hooks (a record-mode Detach still writes the partial
-        // trace for post-mortem), then leak the session alongside the
-        // runtime: leaked workers may hold references into it.
-        session->Detach();
-        report.trace_turns = session->turn_count();
-        report.trace_divergence = session->divergence();
-        session.release();
-      }
-      rt.release();  // deliberate leak, see above
-      return report;
-    }
-  }
-
-  std::vector<Status> outcomes;
-  outcomes.reserve(options.num_txns);
-  for (const auto& f : futures) {
-    outcomes.push_back(f.Peek().status);
-    if (outcomes.back().ok()) {
-      report.committed++;
-    } else if (IsDeterministicActorAbort(outcomes.back())) {
-      report.aborted++;
-    } else {
-      report.in_doubt++;
-    }
-  }
-
-  faults.ClearFaults();
-  CopyFaultCounters(faults, report);
-  report.retired_activations = rt->runtime().num_retired();
-  DrainCheckpoints(rt->log_manager());
-  rt->SyncWalCounters();
-  const auto& counters = rt->context().counters;
-  report.actor_kills = counters.actor_kills.load();
-  report.reactivations = counters.reactivations.load();
-  report.reactivation_us = counters.reactivation_us.load();
-  report.watchdog_batch_aborts = counters.watchdog_batch_aborts.load();
-  report.watchdog_act_aborts = counters.watchdog_act_aborts.load();
-  report.watchdog_act_resolutions = counters.watchdog_act_resolutions.load();
-  report.txn_deadline_aborts = counters.txn_deadline_aborts.load();
-  report.checkpoints_taken = counters.checkpoints_taken.load();
-  report.checkpoint_lag_bytes = counters.checkpoint_lag_bytes.load();
-  report.wal_segments_truncated = counters.wal_segments_truncated.load();
-  report.wal_bytes_truncated = counters.wal_bytes_truncated.load();
-  report.recovery_replay_records = counters.recovery_replay_records.load();
-  report.recovery_time_us = counters.recovery_time_us.load();
-
-  // End of the traced window: phase 2 (crash + recovery) runs untraced.
-  FinishTraceSession(session, report);
-
-  // --- Phase 2: silo crash, recover from the WAL, check invariants. This
-  // verifies that kill/reactivate cycles and message faults left a log from
-  // which the committed prefix is still exactly recoverable.
-  rt.reset();
-  Status crash_status = env.Crash(/*tear_bytes=*/0);
-  if (!crash_status.ok()) {
-    report.violation = "Crash(): " + crash_status.ToString();
+    sys.release();  // deliberate leak, see above
     return report;
   }
 
-  SnapperRuntime recovered(config, &env);
-  const uint32_t rtype = smallbank::RegisterSmallBank(recovered);
-  auto recovery = recovered.Recover();
-  if (!recovery.ok()) {
-    report.violation = "Recover(): " + recovery.status().ToString();
-    return report;
-  }
-  recovered.Start();
-  // Crash-recovery cost on top of the in-round reactivations above.
-  const auto& rec_counters = recovered.context().counters;
-  report.recovery_replay_records += rec_counters.recovery_replay_records.load();
-  report.recovery_time_us += rec_counters.recovery_time_us.load();
+  const std::vector<AckOutcome> outcomes = TallyAcks(*sys, traffic, report);
+  sys->runtime().msg_faults().ClearFaults();
+  sys->DrainCheckpoints();
+  SnapshotCounters(*sys, report);
 
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  std::vector<double> balance(num_accounts, 0);
-  for (int a = 0; a < num_accounts; ++a) {
-    TxnResult r =
-        recovered.RunNt(ActorId{rtype, static_cast<uint64_t>(a)}, "Balance",
-                        Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    balance[a] = r.value.AsDouble();
-    total += balance[a];
-  }
-  report.total_balance = total;
-
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  for (int i = 0; i < options.num_txns; ++i) {
-    const double b = balance[options.num_roots + i];
-    const bool durable = std::fabs(b - (kPerAccount + options.amount)) <= kEps;
-    const bool invisible = std::fabs(b - kPerAccount) <= kEps;
-    const Status& s = outcomes[i];
-    const char* kind = is_act[i] ? "ACT" : "PACT";
-    if (!durable && !invisible) {
-      violations << kind << " txn " << i << ": unexplained balance " << b
-                 << "; ";
-    } else if (s.ok() && !durable) {
-      violations << kind << " txn " << i
-                 << ": acked committed but not durable; ";
-    } else if (IsDeterministicActorAbort(s) && !invisible) {
-      violations << kind << " txn " << i << ": acked abort (" << s.ToString()
-                 << ") but effects durable; ";
-    }
-  }
-  report.violation = violations.str();
-  return report;
-}
-
-ActorChaosReport RunOtxnActorChaos(const ActorChaosOptions& options) {
-  ActorChaosReport report;
-  Rng rng(options.seed);
-
-  MemEnv env;
-  otxn::OtxnConfig config;
-  config.num_workers = 2;
-  config.num_loggers = 2;
-  config.seed = options.seed;
-  config.wal_segment_bytes = options.wal_segment_bytes;
-  config.checkpoint_threshold_bytes = options.checkpoint_threshold_bytes;
-  const int num_accounts = options.num_roots + options.num_txns;
-  report.expected_total = kPerAccount * num_accounts;
-
-  // Declared before the runtime; see RunSnapperActorChaos.
-  std::unique_ptr<trace::TraceSession> session;
-  if (!OpenTraceSession(options, report, &session)) return report;
-
-  auto rt = std::make_unique<otxn::OtxnRuntime>(config, &env);
-  const uint32_t type =
-      rt->RegisterActorType("SmallBankAccount", [](uint64_t) {
-        return std::make_shared<smallbank::SmallBankLogic<otxn::OtxnActor>>();
-      });
-
-  auto& faults = rt->runtime().msg_faults();
-  ArmMessageFaults(faults, options);
-
-  std::vector<Future<TxnResult>> futures;
-  futures.reserve(options.num_txns);
-  const int kill_at = std::max(1, options.num_txns / 3);
-  for (int i = 0; i < options.num_txns; ++i) {
-    if (i == kill_at) {
-      for (int k = 0; k < options.num_kills; ++k) {
-        // coro-lint: allow(discarded-task) — chaos kill is fire-and-forget
-        rt->KillActor(ActorId{type, rng.Uniform(num_accounts)});
-      }
-    }
-    const uint64_t from = rng.Uniform(options.num_roots);
-    const uint64_t to = options.num_roots + i;
-    futures.push_back(
-        rt->Submit(ActorId{type, from}, "MultiTransfer",
-                   smallbank::MultiTransferInput(options.amount, {to})));
-  }
-
-  auto gate = std::make_shared<Gate>();
-  WhenAll(futures).OnReady([gate]() {
-    MutexLock lock(&gate->mu);
-    gate->done = true;
-    gate->cv.NotifyAll();
-  });
-  {
-    MutexLock lock(&gate->mu);
-    const bool resolved = gate->cv.WaitFor(
-        gate->mu, std::chrono::duration<double>(options.watchdog_seconds),
-        [&gate]() REQUIRES(gate->mu) { return gate->done; });
-    if (!resolved) {
-      for (const auto& f : futures) {
-        if (!f.ready()) report.unresolved++;
-      }
-      std::ostringstream os;
-      os << "hang: " << report.unresolved << "/" << options.num_txns
-         << " futures unresolved after " << options.watchdog_seconds << "s";
-      report.violation = os.str();
-      CopyFaultCounters(faults, report);
-      if (session != nullptr) {
-        session->Detach();
-        report.trace_turns = session->turn_count();
-        report.trace_divergence = session->divergence();
-        session.release();  // leaked with the runtime, see above
-      }
-      rt.release();  // deliberate leak, see RunSmallBankChaos
-      return report;
-    }
-  }
-
-  // The TA decides every transaction before its ack, so there is no
-  // in-doubt class here: acked OK must be durable, anything else invisible.
-  std::vector<Status> outcomes;
-  outcomes.reserve(options.num_txns);
-  for (const auto& f : futures) {
-    outcomes.push_back(f.Peek().status);
-    if (outcomes.back().ok()) {
-      report.committed++;
-    } else {
-      report.aborted++;
-    }
-  }
-
-  faults.ClearFaults();
-  CopyFaultCounters(faults, report);
-
-  // End of the traced window: the kill-all sweep below retries Balance on a
-  // wall-clock schedule the trace cannot reproduce. actor_kills is still 0
-  // in the report here (otxn kill acks are fire-and-forget); it is recorded
-  // as 0 on capture and compared against 0 on replay — vacuous but
-  // harmless, and keeps one counter set across both stacks.
+  // End of the traced window: the reopen and the audit run untraced (the
+  // otxn audit retries its reads on a wall-clock schedule the trace cannot
+  // reproduce).
   FinishTraceSession(session, report);
 
-  // --- Final kill-all: every account's state must rebuild purely from the
-  // WAL plus the TA's decision table. This also clears any residue of
-  // dropped Commit/Abort messages (stale dirty-write stacks, stuck locks).
-  for (int a = 0; a < num_accounts; ++a) {
-    // coro-lint: allow(discarded-task) — chaos kill is fire-and-forget
-    rt->KillActor(ActorId{type, static_cast<uint64_t>(a)});
+  // --- Phase 2: reopen and check that kill/reactivate cycles and message
+  // faults left a log from which the committed prefix is still exactly
+  // recoverable.
+  const Status reopened = sys->Reopen(num_accounts);
+  if (!reopened.ok()) {
+    report.violation = reopened.ToString();
+    return report;
   }
-
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  std::vector<double> balance(num_accounts, 0);
-  for (int a = 0; a < num_accounts; ++a) {
-    // Reactivation is asynchronous and rejects reads until the WAL replay
-    // finishes; retry with a bound.
-    TxnResult r;
-    for (int attempt = 0; attempt < 500; ++attempt) {
-      r = rt->Run(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                  Value(ValueMap{}));
-      if (r.ok()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    balance[a] = r.value.AsDouble();
-    total += balance[a];
-  }
-  report.total_balance = total;
-
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  for (int i = 0; i < options.num_txns; ++i) {
-    const double b = balance[options.num_roots + i];
-    const bool durable = std::fabs(b - (kPerAccount + options.amount)) <= kEps;
-    const bool invisible = std::fabs(b - kPerAccount) <= kEps;
-    if (outcomes[i].ok() && !durable) {
-      violations << "otxn txn " << i << ": acked committed but not durable"
-                 << " (balance " << b << "); ";
-    } else if (!outcomes[i].ok() && !invisible) {
-      violations << "otxn txn " << i << ": acked abort ("
-                 << outcomes[i].ToString() << ") but balance " << b << "; ";
-    }
-  }
-
-  report.retired_activations = rt->runtime().num_retired();
-  DrainCheckpoints(rt->log_manager());
-  rt->SyncWalCounters();
-  report.actor_kills = rt->counters().actor_kills.load();
-  report.reactivations = rt->counters().reactivations.load();
-  report.reactivation_us = rt->counters().reactivation_us.load();
-  report.watchdog_act_aborts = rt->counters().watchdog_act_aborts.load();
-  report.watchdog_act_resolutions =
-      rt->counters().watchdog_act_resolutions.load();
-  report.checkpoints_taken = rt->counters().checkpoints_taken.load();
-  report.checkpoint_lag_bytes = rt->counters().checkpoint_lag_bytes.load();
-  report.wal_segments_truncated =
-      rt->counters().wal_segments_truncated.load();
-  report.wal_bytes_truncated = rt->counters().wal_bytes_truncated.load();
-  report.recovery_replay_records =
-      rt->counters().recovery_replay_records.load();
-  report.recovery_time_us = rt->counters().recovery_time_us.load();
-
-  report.violation = violations.str();
+  report.violation = AuditDecodedBalances(*sys, traffic, outcomes,
+                                          report.expected_total,
+                                          &report.total_balance);
+  // The reopen's recovery cost on top of the round's reactivations: the
+  // counters restarted at Reopen.
+  const MessageCounters& reopen = sys->counters();
+  report.recovery_replay_records += reopen.recovery_replay_records.load();
+  report.recovery_time_us += reopen.recovery_time_us.load();
   return report;
 }
-
-}  // namespace
 
 ActorChaosReport RunSmallBankActorChaos(const ActorChaosOptions& options) {
   ActorChaosOptions opts = options;
@@ -771,7 +436,21 @@ ActorChaosReport RunSmallBankActorChaos(const ActorChaosOptions& options) {
           dir, opts.use_otxn ? "otxn" : "snapper", opts.seed);
     }
   }
-  return opts.use_otxn ? RunOtxnActorChaos(opts) : RunSnapperActorChaos(opts);
+  return RunActorChaos(opts, [&opts]() {
+    // Healthy storage: the Snapper adapter's FaultInjectionEnv serves only
+    // its Crash() (silo-death) semantics at Reopen; no storage fault is
+    // armed.
+    SnapperConfig snapper = ChaosConfig(opts.seed);
+    snapper.batch_deadline = kBatchDeadline;
+    snapper.act_resolution_deadline = kActResolutionDeadline;
+    snapper.txn_deadline = kTxnDeadline;
+    otxn::OtxnConfig otxn = SmallOtxnConfig(opts.seed);
+    snapper.wal_segment_bytes = otxn.wal_segment_bytes =
+        opts.wal_segment_bytes;
+    snapper.checkpoint_threshold_bytes = otxn.checkpoint_threshold_bytes =
+        opts.checkpoint_threshold_bytes;
+    return OpenSmallBank(opts.use_otxn, snapper, otxn);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -818,7 +497,7 @@ uint64_t WalBytesOnDisk(Env& env) {
 BoundedRecoveryReport RunBoundedRecovery(const BoundedRecoveryOptions& options) {
   BoundedRecoveryReport report;
   Rng rng(options.seed);
-  report.expected_total = kPerAccount * options.num_accounts;
+  report.expected_total = kInitialBalance * kRecoveryAccounts;
   std::ostringstream violations;
   violations.precision(15);
 
@@ -826,134 +505,49 @@ BoundedRecoveryReport RunBoundedRecovery(const BoundedRecoveryOptions& options) 
   // checkpoint threshold; with one-shot receivers (the chaos rounds'
   // decodable traffic) the coldest actor would never checkpoint and the
   // truncation floor could never advance.
-  const size_t threshold =
+  SnapperConfig snapper = SmallSnapperConfig(options.seed);
+  otxn::OtxnConfig otxn = SmallOtxnConfig(options.seed);
+  snapper.wal_segment_bytes = otxn.wal_segment_bytes =
+      options.wal_segment_bytes;
+  snapper.checkpoint_threshold_bytes = otxn.checkpoint_threshold_bytes =
       options.enable_checkpointing ? options.checkpoint_threshold_bytes : 0;
-  const auto pick_pair = [&rng, &options](uint64_t* from, uint64_t* to) {
-    *from = rng.Uniform(options.num_accounts);
-    *to = rng.Uniform(options.num_accounts);
-    if (*to == *from) *to = (*to + 1) % options.num_accounts;
-  };
+  const std::unique_ptr<TxnSystem> sys =
+      OpenSmallBank(options.use_otxn, snapper, otxn);
+  const uint32_t type = sys->actor_type();
 
-  double total = 0;
-  if (!options.use_otxn) {
-    MemEnv env;
-    SnapperConfig config;
-    config.num_workers = 2;
-    config.num_coordinators = 2;
-    config.num_loggers = 2;
-    config.seed = options.seed;
-    config.wal_segment_bytes = options.wal_segment_bytes;
-    config.checkpoint_threshold_bytes = threshold;
-    SnapperRuntime rt(config, &env);
-    const uint32_t type = smallbank::RegisterSmallBank(rt);
-    rt.Start();
-    for (int i = 0; i < options.num_txns; ++i) {
-      uint64_t from = 0, to = 0;
-      pick_pair(&from, &to);
-      TxnResult r =
-          rt.SubmitAct(ActorId{type, from}, "MultiTransfer",
-                       smallbank::MultiTransferInput(options.amount, {to}))
-              .Get();
-      if (r.ok()) {
-        report.committed++;
-      } else {
-        report.aborted++;
-      }
+  for (int i = 0; i < options.num_txns; ++i) {
+    const uint64_t from = rng.Uniform(kRecoveryAccounts);
+    uint64_t to = rng.Uniform(kRecoveryAccounts);
+    if (to == from) to = (to + 1) % kRecoveryAccounts;
+    TxnRequest request;
+    request.root = ActorId{type, from};
+    request.method = "MultiTransfer";
+    request.input = smallbank::MultiTransferInput(kRecoveryAmount, {to});
+    request.mode = TxnMode::kAct;
+    if (sys->Submit(std::move(request)).Get().ok()) {
+      report.committed++;
+    } else {
+      report.aborted++;
     }
-    // Let trailing checkpoint requests / segment truncation drain.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-
-    const ActorId victim{type, 0};
-    rt.KillActor(victim).Get();
-    for (int a = 0; a < options.num_accounts; ++a) {
-      TxnResult r;
-      for (int attempt = 0; attempt < 500; ++attempt) {
-        r = rt.RunNt(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                     Value(ValueMap{}));
-        if (r.ok()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      if (!r.ok()) {
-        violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                   << "; ";
-        continue;
-      }
-      total += r.value.AsDouble();
-    }
-    rt.SyncWalCounters();
-    const auto& c = rt.context().counters;
-    report.checkpoints_taken = c.checkpoints_taken.load();
-    report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
-    report.wal_segments_truncated = c.wal_segments_truncated.load();
-    report.wal_bytes_truncated = c.wal_bytes_truncated.load();
-    report.recovery_replay_records = c.recovery_replay_records.load();
-    report.recovery_time_us = c.recovery_time_us.load();
-    report.wal_bytes_written = rt.log_manager().TotalBytes();
-    report.wal_bytes_on_disk = WalBytesOnDisk(env);
-  } else {
-    MemEnv env;
-    otxn::OtxnConfig config;
-    config.num_workers = 2;
-    config.num_loggers = 2;
-    config.seed = options.seed;
-    config.wal_segment_bytes = options.wal_segment_bytes;
-    config.checkpoint_threshold_bytes = threshold;
-    otxn::OtxnRuntime rt(config, &env);
-    const uint32_t type =
-        rt.RegisterActorType("SmallBankAccount", [](uint64_t) {
-          return std::make_shared<
-              smallbank::SmallBankLogic<otxn::OtxnActor>>();
-        });
-    for (int i = 0; i < options.num_txns; ++i) {
-      uint64_t from = 0, to = 0;
-      pick_pair(&from, &to);
-      TxnResult r = rt.Run(ActorId{type, from}, "MultiTransfer",
-                           smallbank::MultiTransferInput(options.amount, {to}));
-      if (r.ok()) {
-        report.committed++;
-      } else {
-        report.aborted++;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-
-    // coro-lint: allow(discarded-task) — fail-stop kill is fire-and-forget
-    rt.KillActor(ActorId{type, 0});
-    for (int a = 0; a < options.num_accounts; ++a) {
-      TxnResult r;
-      for (int attempt = 0; attempt < 500; ++attempt) {
-        r = rt.Run(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                   Value(ValueMap{}));
-        if (r.ok()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      if (!r.ok()) {
-        violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                   << "; ";
-        continue;
-      }
-      total += r.value.AsDouble();
-    }
-    rt.SyncWalCounters();
-    report.checkpoints_taken = rt.counters().checkpoints_taken.load();
-    report.checkpoint_lag_bytes = rt.counters().checkpoint_lag_bytes.load();
-    report.wal_segments_truncated =
-        rt.counters().wal_segments_truncated.load();
-    report.wal_bytes_truncated = rt.counters().wal_bytes_truncated.load();
-    report.recovery_replay_records =
-        rt.counters().recovery_replay_records.load();
-    report.recovery_time_us = rt.counters().recovery_time_us.load();
-    report.wal_bytes_written = rt.log_manager().TotalBytes();
-    report.wal_bytes_on_disk = WalBytesOnDisk(env);
   }
-  report.total_balance = total;
+  // Let trailing checkpoint requests / segment truncation drain.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
+  sys->Kill(ActorId{type, 0}).Get();
+  std::vector<double> balance(kRecoveryAccounts, 0);
+  report.total_balance =
+      AuditBalances(*sys, report.expected_total, &balance, violations);
+  const MessageCounters& c = sys->counters();
+  report.checkpoints_taken = c.checkpoints_taken.load();
+  report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
+  report.wal_segments_truncated = c.wal_segments_truncated.load();
+  report.wal_bytes_truncated = c.wal_bytes_truncated.load();
+  report.recovery_replay_records = c.recovery_replay_records.load();
+  report.recovery_time_us = c.recovery_time_us.load();
+  report.wal_bytes_written = sys->log_manager().TotalBytes();
+  report.wal_bytes_on_disk = WalBytesOnDisk(sys->env());
   if (options.enable_checkpointing) {
-    // The bounded-recovery contract (in-harness, per ISSUE acceptance).
+    // The bounded-recovery contract, asserted in-harness.
     if (report.checkpoints_taken == 0) {
       violations << "checkpointing enabled but no checkpoint was taken; ";
     }

@@ -6,14 +6,14 @@
 //   1. Open a SnapperRuntime over FaultInjectionEnv(MemEnv) and arm a fault
 //      at a (seed-derived or caller-chosen) Sync, optionally sticky.
 //   2. Submit a seeded mix of PACT/ACT MultiTransfers. Every transaction i
-//      moves `amount` from a random root account into the *unique* fresh
-//      account `num_roots + i`, so its durability is decodable from that
+//      moves a fixed amount from one of 6 root accounts into the *unique*
+//      fresh account 6 + i, so its durability is decodable from that
 //      account's post-recovery balance alone.
 //   3. Wait for every submission future under a watchdog: any unresolved
 //      future is an invariant violation (the hardening guarantees failed
 //      IO resolves everything non-OK; it must never hang).
-//   4. Crash the env (drop unsynced tails, optionally tear the durable
-//      tail), clear faults ("device replaced"), reopen, Recover(), Start().
+//   4. Crash the env (drop unsynced tails), clear faults ("device
+//      replaced"), reopen, Recover(), Start() (SnapperTxnSystem::Reopen).
 //   5. Check invariants over recovered balances:
 //        - conservation: total money unchanged;
 //        - acked-committed transactions are durable;
@@ -22,33 +22,25 @@
 //          crash) may have either outcome, but a consistent one.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 
 namespace snapper::harness {
 
 struct ChaosOptions {
   uint64_t seed = 1;
-  int num_roots = 6;    ///< source accounts 0..num_roots-1
-  int num_txns = 20;    ///< each txn i deposits into account num_roots + i
+  int num_txns = 20;          ///< each txn i deposits into account 6 + i
   double act_fraction = 0.5;  ///< remaining fraction submits as PACT
-  double amount = 10.0;
 
   bool inject_fault = true;
-  /// Sync (1-based, from round start) to fail; 0 = derive from seed in
-  /// [1, max_fault_sync].
+  /// Sync (1-based, from round start) to fail; 0 = derive from the seed in
+  /// [1, 12].
   uint64_t fault_sync = 0;
-  uint64_t max_fault_sync = 12;
   /// Probability that the injected fault is sticky (device-gone). With a
   /// fixed `fault_sync` the coin is still seed-derived.
   double sticky_probability = 0.5;
-
-  /// Bytes torn off each file's durable tail at crash. Keep 0 for invariant
-  /// rounds: the workload spans several log files, and tearing *synced*
-  /// (acked-durable) bytes legitimately breaks ack-durability. Torn-tail
-  /// recovery is covered separately by recovery tests.
-  size_t tear_bytes = 0;
 
   double watchdog_seconds = 10.0;
 };
@@ -75,43 +67,34 @@ ChaosReport RunSmallBankChaos(const ChaosOptions& options);
 // Actor-layer chaos: fail-stop actor kills + message-level faults (drop /
 // duplicate / delay) under healthy storage, over the same decodable
 // SmallBank traffic. Per round:
-//   1. Open a runtime (Snapper, or the OrleansTxn baseline with use_otxn),
-//      arm seeded message faults, submit the PACT/ACT (or otxn) mix.
+//   1. Open a TxnSystem (Snapper, or the OrleansTxn baseline with
+//      use_otxn), arm seeded message faults, submit the PACT/ACT (or otxn)
+//      mix.
 //   2. Mid-run, fail-stop kill `num_kills` random account actors; Snapper
 //      transparently reactivates them from the WAL.
 //   3. Wait for every submission (and kill acknowledgement) under a
 //      watchdog: liveness deadlines must resolve everything — a hang is an
 //      invariant violation.
-//   4. Snapper: crash the silo, recover from the WAL, check conservation /
-//      ack-durability / abort-invisibility over recovered balances.
-//      otxn: kill every account actor (state rebuilds from WAL + the TA's
-//      decision table) and check the same invariants over live balances.
+//   4. TxnSystem::Reopen — Snapper crashes the silo and recovers from the
+//      WAL; otxn kills every account actor (state rebuilds from WAL + the
+//      TA's decision table) — then check conservation / ack-durability /
+//      abort-invisibility over the rebuilt balances.
 // ---------------------------------------------------------------------------
 
 struct ActorChaosOptions {
   uint64_t seed = 1;
-  int num_roots = 6;
-  int num_txns = 24;          ///< each txn i deposits into account num_roots+i
+  int num_txns = 24;          ///< each txn i deposits into account 6 + i
   double act_fraction = 0.5;  ///< otxn rounds ignore this (all ACT-like)
-  double amount = 10.0;
 
   int num_kills = 1;  ///< actors killed once a third of the txns are in
 
-  // Probabilistic message faults (0 disables each). Droppable protocol
-  // messages only; see MessageFaultInjector.
+  // Probabilistic message faults (0 disables each; delays last up to 2 ms).
+  // Droppable protocol messages only; see MessageFaultInjector.
   double msg_drop_p = 0.05;
   double msg_dup_p = 0.05;
   double msg_delay_p = 0.1;
-  uint32_t msg_max_delay_ms = 2;
-  /// Scripted fault: drop the Nth droppable message (0 = off), optionally
-  /// every droppable message from the Nth on.
+  /// Scripted fault: drop the Nth droppable message (0 = off).
   uint64_t drop_nth = 0;
-  bool drop_sticky = false;
-
-  // Liveness deadlines (Snapper rounds; 0 disables).
-  std::chrono::milliseconds batch_deadline{250};
-  std::chrono::milliseconds act_resolution_deadline{100};
-  std::chrono::milliseconds txn_deadline{0};
 
   double watchdog_seconds = 20.0;
   bool use_otxn = false;  ///< run the OrleansTxn baseline instead of Snapper
@@ -184,6 +167,16 @@ struct ActorChaosReport {
 /// ActorChaosOptions (fault decisions are seeded; interleavings are not).
 ActorChaosReport RunSmallBankActorChaos(const ActorChaosOptions& options);
 
+class TxnSystem;
+
+/// The round body behind RunSmallBankActorChaos, over the system `open`
+/// builds (called after the trace session attaches, so construction-time
+/// posts are traced). RunSmallBankActorChaos passes the adapter `use_otxn`
+/// selects; tests pass a fake. A hung round leaks the system.
+ActorChaosReport RunActorChaos(
+    const ActorChaosOptions& options,
+    const std::function<std::unique_ptr<TxnSystem>()>& open);
+
 // ---------------------------------------------------------------------------
 // Bounded-time crash recovery: the checkpoint subsystem's acceptance harness.
 // A fixed account pool (so every actor keeps accumulating WAL lag and crosses
@@ -203,11 +196,9 @@ struct BoundedRecoveryOptions {
   bool enable_checkpointing = true;
   size_t checkpoint_threshold_bytes = 1024;
   size_t wal_segment_bytes = 2048;
-  int num_accounts = 4;            ///< fixed pool; transfers stay inside it
-  int num_txns = 200;              ///< run length (the bound must not scale)
-  double amount = 1.0;
+  int num_txns = 200;  ///< run length over a 4-account pool (must not scale)
   /// Max records the victim's reactivation may replay (checkpointing on).
-  /// Steady-state retention is bounded by num_accounts * threshold lag plus
+  /// Steady-state retention is bounded by 4 accounts x threshold lag plus
   /// segment-granularity stragglers (a segment survives until *every* actor
   /// checkpoints past it) plus decision records awaiting truncation — about
   /// 300 records for the defaults, independent of num_txns. A disabled run

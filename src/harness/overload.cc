@@ -13,34 +13,23 @@
 #include "harness/chaos.h"
 #include "harness/client.h"
 #include "harness/metrics.h"
-#include "otxn/otxn_runtime.h"
-#include "snapper/snapper_runtime.h"
+#include "harness/txn_system.h"
 #include "trace/trace_session.h"
 #include "workloads/smallbank.h"
 
 namespace snapper::harness {
 namespace {
 
-/// Record-only SNAPPER_TRACE_DIR capture for the ramp (see
-/// OverloadRampReport::trace_path). Returns nullptr when the env var is
-/// unset.
-std::unique_ptr<trace::TraceSession> OpenRampCapture(const std::string& label,
-                                                     uint64_t seed,
-                                                     std::string* trace_path) {
-  const std::string dir = TraceDir();
-  if (dir.empty()) return nullptr;
-  auto session =
-      trace::TraceSession::Record(trace::TracePathFor(dir, label, seed));
-  *trace_path = session->path();
-  session->Attach();
-  return session;
-}
-
 using Clock = std::chrono::steady_clock;
 
-constexpr double kPerAccount =
-    smallbank::kInitialChecking + smallbank::kInitialSavings;
 constexpr double kEps = 1e-6;
+
+/// Accounts transferring among themselves (conservation-checkable). Sized so
+/// the admitted in-flight set (~budget) does not conflict-collapse the
+/// all-ACT otxn mix: goodput under saturation must be admission-limited,
+/// not wait-die-limited, for the floor to measure overload behaviour.
+constexpr uint64_t kRampAccounts = 256;
+constexpr double kRampAmount = 1.0;
 
 /// Completion classifier shared by every ramp submission's continuation,
 /// and the drain watchdog's wait state. Lock-free: continuations run on the
@@ -62,25 +51,25 @@ struct RampGate {
   std::atomic<uint64_t> other{0};
 };
 
-struct RampOutcome {
-  double peak_tps = 0;
-  double offered_tps = 0;
-  double ramp_goodput_tps = 0;
-  uint64_t submitted = 0;
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
-  uint64_t overloaded = 0;
-  uint64_t other = 0;
-  uint64_t unresolved = 0;
-  bool hang = false;
-};
+/// Counts one completion into its class, then into `resolved`.
+void CountCompletion(RampGate& gate, const Status& status) {
+  if (status.ok()) {
+    gate.committed.fetch_add(1, std::memory_order_relaxed);
+  } else if (status.IsOverloaded()) {
+    gate.overloaded.fetch_add(1, std::memory_order_relaxed);
+  } else if (status.IsTxnAborted()) {
+    gate.aborted.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    gate.other.fetch_add(1, std::memory_order_relaxed);
+  }
+  gate.resolved.fetch_add(1, std::memory_order_release);
+}
 
-/// Phases 1-3 (calibrate, ramp, drain), stack-agnostic: both stacks plug in
-/// via the harness GeneratorFn/SubmitFn pair.
-RampOutcome RunRampCore(const OverloadRampOptions& options,
-                        const GeneratorFn& generate, const SubmitFn& submit) {
-  RampOutcome out;
-
+/// Phases 1-3 (calibrate, ramp, drain) into `out`'s throughput and
+/// completion fields. Returns false if the drain watchdog expired.
+bool RunRampCore(const OverloadRampOptions& options,
+                 const GeneratorFn& generate, const SubmitFn& submit,
+                 OverloadRampReport& out) {
   // --- Phase 1: closed-loop calibration. Total in-flight stays at half the
   // admission budget, so the peak is measured shed-free. Two independent
   // windows, combined asymmetrically:
@@ -105,7 +94,7 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
   calibrate2.seed = Rng::Derive(options.seed, 0xca12);
   const BenchResult bench2 = RunBench(calibrate2, generate, submit);
   out.peak_tps = std::min(bench.Throughput(), bench2.Throughput());
-  if (out.peak_tps <= 0) return out;  // wrapper turns this into a violation
+  if (out.peak_tps <= 0) return true;  // the caller reports the violation
 
   // --- Phase 2: open-loop ramp. Submissions are paced at offered_tps and
   // never wait for completions; classification happens in continuations.
@@ -134,19 +123,6 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
   for (size_t i = 0; i < trace_size; ++i) trace.push_back(generate(rng));
 
   auto gate = std::make_shared<RampGate>();
-  const auto classify = [&gate](const TxnResult& result) {
-    const Status& status = result.status;
-    if (status.ok()) {
-      gate->committed.fetch_add(1, std::memory_order_relaxed);
-    } else if (status.IsOverloaded()) {
-      gate->overloaded.fetch_add(1, std::memory_order_relaxed);
-    } else if (status.IsTxnAborted()) {
-      gate->aborted.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      gate->other.fetch_add(1, std::memory_order_relaxed);
-    }
-    gate->resolved.fetch_add(1, std::memory_order_release);
-  };
   const auto ramp_start = Clock::now();
   const auto ramp_length = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(options.ramp_seconds));
@@ -169,22 +145,10 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
       // Sheds (and any other already-resolved submission) classify inline —
       // no continuation allocation on the saturated path.
       if (future.ready()) {
-        classify(future.Peek());
+        CountCompletion(*gate, future.Peek().status);
       } else {
-        future.OnReady([gate, future]() {
-          const TxnResult result = future.Peek();
-          const Status& status = result.status;
-          if (status.ok()) {
-            gate->committed.fetch_add(1, std::memory_order_relaxed);
-          } else if (status.IsOverloaded()) {
-            gate->overloaded.fetch_add(1, std::memory_order_relaxed);
-          } else if (status.IsTxnAborted()) {
-            gate->aborted.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            gate->other.fetch_add(1, std::memory_order_relaxed);
-          }
-          gate->resolved.fetch_add(1, std::memory_order_release);
-        });
+        future.OnReady(
+            [gate, future]() { CountCompletion(*gate, future.Peek().status); });
       }
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -207,30 +171,11 @@ RampOutcome RunRampCore(const OverloadRampOptions& options,
   out.committed = gate->committed.load(std::memory_order_relaxed);
   out.aborted = gate->aborted.load(std::memory_order_relaxed);
   out.overloaded = gate->overloaded.load(std::memory_order_relaxed);
-  out.other = gate->other.load(std::memory_order_relaxed);
+  out.other_failures = gate->other.load(std::memory_order_relaxed);
   out.unresolved = submitted - resolved;
-  out.hang = resolved < submitted;
   out.ramp_goodput_tps =
       static_cast<double>(out.committed) / options.ramp_seconds;
-  return out;
-}
-
-void FillReport(const RampOutcome& out, OverloadRampReport& report) {
-  report.peak_tps = out.peak_tps;
-  report.offered_tps = out.offered_tps;
-  report.ramp_goodput_tps = out.ramp_goodput_tps;
-  report.submitted = out.submitted;
-  report.committed = out.committed;
-  report.aborted = out.aborted;
-  report.overloaded = out.overloaded;
-  report.other_failures = out.other;
-  report.unresolved = out.unresolved;
-}
-
-size_t DerivedMailboxCapacity(const OverloadRampOptions& options) {
-  return options.mailbox_capacity != 0
-             ? options.mailbox_capacity
-             : 4 * (options.pact_tokens + options.act_tokens);
+  return resolved == submitted;
 }
 
 /// Stack-independent overload invariants; appended to `violations`.
@@ -261,211 +206,6 @@ void CheckOverloadInvariants(const OverloadRampOptions& options,
   }
 }
 
-OverloadRampReport RunSnapperOverloadRamp(const OverloadRampOptions& options) {
-  OverloadRampReport report;
-  const size_t capacity = DerivedMailboxCapacity(options);
-  report.mailbox_capacity = capacity;
-  report.expected_total = kPerAccount * options.num_accounts;
-
-  SnapperConfig config;
-  config.num_workers = 2;
-  config.num_coordinators = 2;
-  config.num_loggers = 2;
-  config.min_batch_interval = std::chrono::microseconds(1000);
-  config.seed = options.seed;
-  config.max_inflight_pacts = options.pact_tokens;
-  config.max_inflight_acts = options.act_tokens;
-  config.admission_degrade_threshold = options.degrade_threshold;
-  config.mailbox_capacity = capacity;
-
-  // Declared before the runtime so it is destroyed after it (in-flight
-  // turns may be inside hook calls until the workers park).
-  std::unique_ptr<trace::TraceSession> session =
-      OpenRampCapture("overload-snapper", options.seed, &report.trace_path);
-
-  // Leaked (released, not destroyed) if the drain watchdog expires: joining
-  // workers blocked on a hung future would turn the reported violation into
-  // a test binary timeout (same pattern as the chaos harness).
-  auto rt = std::make_unique<SnapperRuntime>(config);
-  const uint32_t type = smallbank::RegisterSmallBank(*rt);
-  rt->Start();
-
-  const int n = options.num_accounts;
-  GeneratorFn generate = [type, n, act_fraction = options.act_fraction,
-                          amount = options.amount](Rng& rng) {
-    const uint64_t from = rng.Uniform(n);
-    // Transfers stay inside the fixed account set so conservation holds.
-    const uint64_t to = (from + 1 + rng.Uniform(n - 1)) % n;
-    TxnRequest request;
-    request.root = ActorId{type, from};
-    request.method = "MultiTransfer";
-    request.input = smallbank::MultiTransferInput(amount, {to});
-    if (rng.NextDouble() < act_fraction) {
-      request.mode = TxnMode::kAct;
-    } else {
-      request.mode = TxnMode::kPact;
-      request.info = smallbank::SmallBankActor::MultiTransferAccessInfo(
-          type, from, {to});
-    }
-    return request;
-  };
-  SubmitFn submit = [&rt](TxnRequest request) {
-    if (request.mode == TxnMode::kAct) {
-      return rt->SubmitAct(request.root, std::move(request.method),
-                           std::move(request.input));
-    }
-    return rt->SubmitPact(request.root, std::move(request.method),
-                          std::move(request.input), std::move(request.info));
-  };
-
-  const RampOutcome out = RunRampCore(options, generate, submit);
-  FillReport(out, report);
-  report.admission = rt->admission().stats();
-  report.max_mailbox_depth = rt->runtime().MaxMailboxDepth();
-  report.mailbox_rejections = rt->runtime().mailbox_rejections();
-
-  if (out.hang) {
-    std::ostringstream os;
-    os << "hang: " << out.unresolved << "/" << out.submitted
-       << " ramp futures unresolved after " << options.watchdog_seconds
-       << "s";
-    report.violation = os.str();
-    if (session != nullptr) {
-      session->Detach();  // writes the partial trace for post-mortem
-      session.release();  // leaked with the runtime
-    }
-    rt.release();  // deliberate leak, see above
-    return report;
-  }
-  if (session != nullptr) session->Detach();
-
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  for (int a = 0; a < n; ++a) {
-    // NT reads bypass admission by design (they carry no transactional
-    // state), so the post-ramp audit cannot itself be shed.
-    TxnResult r = rt->RunNt(ActorId{type, static_cast<uint64_t>(a)},
-                            "Balance", Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    total += r.value.AsDouble();
-  }
-  report.total_balance = total;
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  CheckOverloadInvariants(options, report, violations);
-  report.violation = violations.str();
-  return report;
-}
-
-OverloadRampReport RunOtxnOverloadRamp(const OverloadRampOptions& options) {
-  OverloadRampReport report;
-  const size_t capacity = DerivedMailboxCapacity(options);
-  report.mailbox_capacity = capacity;
-  report.expected_total = kPerAccount * options.num_accounts;
-
-  otxn::OtxnConfig config;
-  config.num_workers = 2;
-  config.num_loggers = 2;
-  config.seed = options.seed;
-  // Budget sized at the calibration operating point: phase 1 runs
-  // (pact_tokens + act_tokens) / 2 in flight, so admission pins the
-  // saturated occupancy at the same knee the peak was measured at. The
-  // single-TA-strand stack degrades steeply past its knee; a budget of the
-  // full token sum would let 2x the calibrated concurrency in and the
-  // goodput floor would measure a mis-sized budget, not overload behaviour
-  // (admission control's job is precisely to hold the good operating
-  // point).
-  config.max_inflight_txns =
-      std::max<size_t>(1, (options.pact_tokens + options.act_tokens) / 2);
-  config.mailbox_capacity = capacity;
-
-  // Declared before the runtime; see RunSnapperOverloadRamp.
-  std::unique_ptr<trace::TraceSession> session =
-      OpenRampCapture("overload-otxn", options.seed, &report.trace_path);
-
-  auto rt = std::make_unique<otxn::OtxnRuntime>(config);
-  const uint32_t type =
-      rt->RegisterActorType("SmallBankAccount", [](uint64_t) {
-        return std::make_shared<smallbank::SmallBankLogic<otxn::OtxnActor>>();
-      });
-
-  const int n = options.num_accounts;
-  GeneratorFn generate = [type, n, amount = options.amount](Rng& rng) {
-    const uint64_t from = rng.Uniform(n);
-    const uint64_t to = (from + 1 + rng.Uniform(n - 1)) % n;
-    TxnRequest request;
-    request.root = ActorId{type, from};
-    request.method = "MultiTransfer";
-    request.input = smallbank::MultiTransferInput(amount, {to});
-    request.mode = TxnMode::kAct;
-    return request;
-  };
-  SubmitFn submit = [&rt](TxnRequest request) {
-    return rt->Submit(request.root, std::move(request.method),
-                      std::move(request.input));
-  };
-
-  const RampOutcome out = RunRampCore(options, generate, submit);
-  FillReport(out, report);
-  report.admission = rt->admission().stats();
-  report.max_mailbox_depth = rt->runtime().MaxMailboxDepth();
-  report.mailbox_rejections = rt->runtime().mailbox_rejections();
-  report.max_ta_queue_depth = rt->max_ta_queue_depth();
-
-  if (out.hang) {
-    std::ostringstream os;
-    os << "hang: " << out.unresolved << "/" << out.submitted
-       << " ramp futures unresolved after " << options.watchdog_seconds
-       << "s";
-    report.violation = os.str();
-    if (session != nullptr) {
-      session->Detach();  // writes the partial trace for post-mortem
-      session.release();  // leaked with the runtime
-    }
-    rt.release();  // deliberate leak, see RunSnapperOverloadRamp
-    return report;
-  }
-  if (session != nullptr) session->Detach();
-
-  std::ostringstream violations;
-  violations.precision(15);
-  double total = 0;
-  for (int a = 0; a < n; ++a) {
-    TxnResult r = rt->Run(ActorId{type, static_cast<uint64_t>(a)}, "Balance",
-                          Value(ValueMap{}));
-    if (!r.ok()) {
-      violations << "Balance(" << a << ") failed: " << r.status.ToString()
-                 << "; ";
-      continue;
-    }
-    total += r.value.AsDouble();
-  }
-  report.total_balance = total;
-  if (std::fabs(total - report.expected_total) > kEps) {
-    violations << "conservation: total " << total << " != expected "
-               << report.expected_total << "; ";
-  }
-  // The TA strand is not an actor mailbox, but admission bounds it all the
-  // same: each in-flight transaction keeps O(1) turns queued there. 16x the
-  // budget is far above any legitimate watermark yet catches unbounded
-  // growth outright.
-  const size_t ta_bound = 16 * (options.pact_tokens + options.act_tokens);
-  if (report.max_ta_queue_depth > ta_bound) {
-    violations << "TA strand depth high-watermark " << report.max_ta_queue_depth
-               << " exceeds bound " << ta_bound << "; ";
-  }
-  CheckOverloadInvariants(options, report, violations);
-  report.violation = violations.str();
-  return report;
-}
-
 }  // namespace
 
 std::string OverloadRampReport::ToJson() const {
@@ -491,8 +231,105 @@ std::string OverloadRampReport::ToJson() const {
 
 OverloadRampReport RunSmallBankOverloadRamp(
     const OverloadRampOptions& options) {
-  return options.use_otxn ? RunOtxnOverloadRamp(options)
-                          : RunSnapperOverloadRamp(options);
+  OverloadRampReport report;
+  const size_t tokens = options.pact_tokens + options.act_tokens;
+  report.mailbox_capacity =
+      options.mailbox_capacity != 0 ? options.mailbox_capacity : 4 * tokens;
+  report.expected_total = kInitialBalance * kRampAccounts;
+
+  SnapperConfig snapper = SmallSnapperConfig(options.seed);
+  snapper.min_batch_interval = std::chrono::microseconds(1000);
+  snapper.max_inflight_pacts = options.pact_tokens;
+  snapper.max_inflight_acts = options.act_tokens;
+  snapper.admission_degrade_threshold = options.degrade_threshold;
+  otxn::OtxnConfig otxn = SmallOtxnConfig(options.seed);
+  // Budget sized at the calibration operating point: phase 1 runs
+  // (pact_tokens + act_tokens) / 2 in flight, so admission pins the
+  // saturated occupancy at the same knee the peak was measured at. The
+  // single-TA-strand stack degrades steeply past its knee; a budget of the
+  // full token sum would let 2x the calibrated concurrency in and the
+  // goodput floor would measure a mis-sized budget, not overload behaviour
+  // (admission control's job is precisely to hold the good operating
+  // point).
+  otxn.max_inflight_txns = std::max<size_t>(1, tokens / 2);
+  snapper.mailbox_capacity = otxn.mailbox_capacity = report.mailbox_capacity;
+
+  // Record-only SNAPPER_TRACE_DIR capture (see
+  // OverloadRampReport::trace_path). Declared before the system so it is
+  // destroyed after it (in-flight turns may be inside hook calls until the
+  // workers park).
+  std::unique_ptr<trace::TraceSession> session;
+  if (const std::string dir = TraceDir(); !dir.empty()) {
+    session = trace::TraceSession::Record(trace::TracePathFor(
+        dir, options.use_otxn ? "overload-otxn" : "overload-snapper",
+        options.seed));
+    report.trace_path = session->path();
+    session->Attach();
+  }
+
+  // Leaked (released, not destroyed) if the drain watchdog expires: joining
+  // workers blocked on a hung future would turn the reported violation into
+  // a test binary timeout (same pattern as the chaos harness).
+  std::unique_ptr<TxnSystem> sys =
+      OpenSmallBank(options.use_otxn, snapper, otxn);
+
+  GeneratorFn generate = [type = sys->actor_type(), has_pact = sys->has_pact(),
+                          act_fraction = options.act_fraction](Rng& rng) {
+    const uint64_t n = kRampAccounts;
+    const uint64_t from = rng.Uniform(n);
+    // Transfers stay inside the fixed account set so conservation holds.
+    const uint64_t to = (from + 1 + rng.Uniform(n - 1)) % n;
+    TxnRequest request;
+    request.root = ActorId{type, from};
+    request.method = "MultiTransfer";
+    request.input = smallbank::MultiTransferInput(kRampAmount, {to});
+    request.mode = TxnMode::kAct;
+    if (has_pact && rng.NextDouble() >= act_fraction) {
+      request.mode = TxnMode::kPact;
+      request.info = smallbank::SmallBankActor::MultiTransferAccessInfo(
+          type, from, {to});
+    }
+    return request;
+  };
+  const bool drained =
+      RunRampCore(options, generate, sys->submitter(), report);
+  report.admission = sys->admission_stats();
+  report.max_mailbox_depth = sys->runtime().MaxMailboxDepth();
+  report.mailbox_rejections = sys->runtime().mailbox_rejections();
+  report.max_ta_queue_depth = sys->max_ta_queue_depth();
+
+  if (!drained) {
+    std::ostringstream os;
+    os << "hang: " << report.unresolved << "/" << report.submitted
+       << " ramp futures unresolved after " << options.watchdog_seconds
+       << "s";
+    report.violation = os.str();
+    if (session != nullptr) {
+      session->Detach();  // writes the partial trace for post-mortem
+      session.release();  // leaked with the system
+    }
+    sys.release();  // deliberate leak, see above
+    return report;
+  }
+  if (session != nullptr) session->Detach();
+
+  std::ostringstream violations;
+  violations.precision(15);
+  std::vector<double> balance(kRampAccounts, 0);
+  report.total_balance =
+      AuditBalances(*sys, report.expected_total, &balance, violations);
+  // The OrleansTxn TA strand is not an actor mailbox, but admission bounds
+  // it all the same: each in-flight transaction keeps O(1) turns queued
+  // there. 16x the budget is far above any legitimate watermark yet catches
+  // unbounded growth outright. (Snapper has no TA and reports 0.)
+  const size_t ta_bound = 16 * tokens;
+  if (report.max_ta_queue_depth > ta_bound) {
+    violations << "TA strand depth high-watermark " << report.max_ta_queue_depth
+               << " exceeds bound " << ta_bound << "; ";
+  }
+  CheckOverloadInvariants(options, report, violations);
+  report.violation = violations.str();
+  return report;
 }
 
 }  // namespace snapper::harness

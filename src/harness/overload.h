@@ -29,13 +29,9 @@ namespace snapper::harness {
 
 struct OverloadRampOptions {
   uint64_t seed = 1;
-  /// Accounts transferring among themselves (conservation-checkable). Sized
-  /// so the admitted in-flight set (~budget) does not conflict-collapse the
-  /// all-ACT otxn mix: goodput under saturation must be admission-limited,
-  /// not wait-die-limited, for the floor to measure overload behaviour.
-  int num_accounts = 256;
-  double act_fraction = 0.3;  ///< otxn runs ignore this (all ACT-like)
-  double amount = 1.0;
+  /// Fraction of the transfers (among 256 accounts) submitted as ACTs; otxn
+  /// runs ignore this (all ACT-like).
+  double act_fraction = 0.3;
 
   double calibrate_seconds = 1.0;  ///< closed-loop peak measurement window
   double ramp_seconds = 3.0;       ///< open-loop overload window
@@ -45,7 +41,7 @@ struct OverloadRampOptions {
 
   /// Admission budgets (SnapperConfig::max_inflight_pacts / _acts; half
   /// their sum is the otxn budget — the calibration operating point, see
-  /// RunOtxnOverloadRamp). Must be > 0: the ramp exists to exercise them.
+  /// RunSmallBankOverloadRamp). Must be > 0: the ramp exists to exercise them.
   size_t pact_tokens = 64;
   size_t act_tokens = 32;
   double degrade_threshold = 0.75;

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <sstream>
+
+#include "harness/txn_system.h"
 
 namespace snapper::harness {
 namespace {
@@ -162,8 +166,7 @@ TEST(ActorChaosTest, OtxnSeededSweep) {
     EXPECT_EQ(report.unresolved, 0) << "seed=" << options.seed;
     EXPECT_EQ(report.in_doubt, 0) << "seed=" << options.seed;
     EXPECT_GE(report.actor_kills, 1u) << "seed=" << options.seed;
-    // Includes the final kill-all: still one retirement per counted kill at
-    // most, so the registry bound holds here too.
+    // One retirement per counted kill at most, as on Snapper.
     EXPECT_LE(report.retired_activations, report.actor_kills)
         << "seed=" << options.seed;
     checkpoints += report.checkpoints_taken;
@@ -262,6 +265,87 @@ TEST(ActorChaosTest, ReportJsonCarriesFaultCounters) {
         "\"ok\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing: " << json;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Watchdog hang path, driven through a fake TxnSystem.
+// ---------------------------------------------------------------------------
+
+/// Resolves every submission at once as committed, except the
+/// `hung_txn`-th, whose future never resolves. Kills are counted and
+/// resolve at once. Nothing runs on its (idle) actor runtime.
+class HangingTxnSystem final : public TxnSystem {
+ public:
+  explicit HangingTxnSystem(int hung_txn) {
+    submit_ = [this, hung_txn](TxnRequest /*request*/) {
+      if (submitted_++ == hung_txn) return hung_.GetFuture();
+      Promise<TxnResult> done;
+      done.Set(TxnResult{});
+      return done.GetFuture();
+    };
+  }
+
+  bool has_pact() const override { return true; }
+  Future<Unit> Kill(const ActorId& /*id*/) override {
+    counters_.actor_kills.fetch_add(1);
+    Promise<Unit> done;
+    done.Set(Unit{});
+    return done.GetFuture();
+  }
+  AckOutcome Classify(const Status& acked) const override {
+    return acked.ok() ? AckOutcome::kCommitted : AckOutcome::kAborted;
+  }
+  TxnResult ReadBalance(uint64_t /*key*/) override {
+    return TxnResult{Status::Internal("a hung round reads no balance"),
+                     Value(), {}};
+  }
+  Status Reopen(uint64_t /*num_accounts*/) override {
+    return Status::Internal("a hung round never reopens");
+  }
+  MessageCounters& counters() override { return counters_; }
+  ActorRuntime& runtime() override { return runtime_; }
+  LogManager& log_manager() override { return log_; }
+  Env& env() override { return env_; }
+  AdmissionController::Stats admission_stats() const override { return {}; }
+
+ private:
+  int submitted_ = 0;
+  Promise<TxnResult> hung_;
+  MessageCounters counters_;
+  MemEnv env_;
+  ActorRuntime runtime_{ActorRuntime::Options{.num_workers = 1}};
+  LogManager log_{LogManager::Options{.num_loggers = 1,
+                                      .enable_logging = false},
+                  &env_};
+};
+
+// One transaction never resolves: the watchdog must fire on time, count
+// exactly that one as unresolved, and still snapshot the runtime counters
+// (here the kill the round made before the hang).
+TEST(ActorChaosTest, WatchdogReportsHungRoundWithCounterSnapshot) {
+  ActorChaosOptions options;
+  options.seed = 9700;
+  options.watchdog_seconds = 0.5;
+  HangingTxnSystem* system = nullptr;
+  const auto start = std::chrono::steady_clock::now();
+  ActorChaosReport report = RunActorChaos(options, [&system]() {
+    auto fake = std::make_unique<HangingTxnSystem>(/*hung_txn=*/5);
+    system = fake.get();
+    return std::unique_ptr<TxnSystem>(std::move(fake));
+  });
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  // A hung round leaks its system; nothing runs on the fake, so free it.
+  delete system;
+
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.violation.rfind("hang:", 0), 0u) << report.violation;
+  EXPECT_EQ(report.unresolved, 1) << Describe(report);
+  EXPECT_EQ(report.actor_kills, static_cast<uint64_t>(options.num_kills))
+      << Describe(report);
+  EXPECT_GE(elapsed, options.watchdog_seconds);
+  EXPECT_LT(elapsed, 2 * options.watchdog_seconds);
 }
 
 }  // namespace
