@@ -12,10 +12,12 @@
 # Requires clang-tidy on PATH — available in CI's clang leg; locally the
 # command fails fast with a clear message if the tool is missing.
 #
-# SNAPPER_SANITIZE=analyze runs the whole-program lock-order/determinism
-# analyzer (scripts/snapper_analyze.py: fixture self-test, then the src/
-# pass) and the `analyze`-labelled ctest subset in a Debug tree, where the
-# runtime lock-order tracker (SNAPPER_LOCK_TRACKER) is armed by default.
+# SNAPPER_SANITIZE=analyze builds a Debug tree, where the runtime lock-order
+# tracker (SNAPPER_LOCK_TRACKER) is armed by default, and runs its
+# `analyze`-labelled ctest subset: the whole-program lock-order/determinism
+# analyzer (scripts/snapper_analyze.py: fixture self-test and src/ pass, as
+# the snapper_analyze_selftest / snapper_analyze_src tests) plus the runtime
+# lock-tracker tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,9 +43,7 @@ run_tidy() {
 }
 
 run_analyze() {
-  python3 scripts/snapper_analyze.py --self-test tests/analyze/fixtures
-  python3 scripts/snapper_analyze.py src
-  # Runtime leg: cycle/rank death tests and the FaultInjectionEnv lock-order
+  # The cycle/rank death tests and the FaultInjectionEnv lock-order
   # regression only bite with the tracker armed, i.e. in a Debug tree.
   cmake -B build-analyze -S . -DCMAKE_BUILD_TYPE=Debug
   cmake --build build-analyze -j "$(nproc)"

@@ -71,8 +71,8 @@ enum class Site : uint32_t {
   kAdmission = 4,       ///< AdmissionController::Admit status code
   kActorFailed = 5,     ///< ActorBase::failed() observation
   kActivateGen = 6,     ///< GetOrActivate observed activation generation
-  kKillMarkCheck = 7,   ///< SnapperContext/otxn IsActorKilled
-  kKillMarkClear = 8,   ///< ClearKillMark found-a-mark bit
+  kKillMarkCheck = 7,   ///< KillMarks::IsMarked
+  kKillMarkClear = 8,   ///< KillMarks::Clear found-a-mark bit
   kWalDegraded = 9,     ///< WalHealth fail-fast check
   kPaused = 10,         ///< GlobalAbortController::paused()
   kEpoch = 11,          ///< GlobalAbortController::epoch()

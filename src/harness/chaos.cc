@@ -13,6 +13,7 @@
 #include "harness/txn_system.h"
 #include "trace/trace_session.h"
 #include "wal/checkpoint.h"
+#include "wal/wal_reader.h"
 #include "workloads/smallbank.h"
 
 namespace snapper::harness {
@@ -290,6 +291,7 @@ void SnapshotCounters(TxnSystem& sys, ActorChaosReport& report) {
   report.msgs_delayed = faults.delayed();
   report.retired_activations = sys.runtime().num_retired();
   const MessageCounters& c = sys.counters();
+  const CheckpointStats& cp = sys.log_manager().checkpoint_stats();
   report.actor_kills = c.actor_kills.load();
   report.reactivations = c.reactivations.load();
   report.reactivation_us = c.reactivation_us.load();
@@ -297,10 +299,10 @@ void SnapshotCounters(TxnSystem& sys, ActorChaosReport& report) {
   report.watchdog_act_aborts = c.watchdog_act_aborts.load();
   report.watchdog_act_resolutions = c.watchdog_act_resolutions.load();
   report.txn_deadline_aborts = c.txn_deadline_aborts.load();
-  report.checkpoints_taken = c.checkpoints_taken.load();
-  report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
-  report.wal_segments_truncated = c.wal_segments_truncated.load();
-  report.wal_bytes_truncated = c.wal_bytes_truncated.load();
+  report.checkpoints_taken = cp.checkpoints_durable.load();
+  report.checkpoint_lag_bytes = cp.lag_bytes.load();
+  report.wal_segments_truncated = cp.segments_truncated.load();
+  report.wal_bytes_truncated = cp.bytes_truncated.load();
   report.recovery_replay_records = c.recovery_replay_records.load();
   report.recovery_time_us = c.recovery_time_us.load();
 }
@@ -482,12 +484,9 @@ namespace {
 /// truncation physically reclaimed the prefix.
 uint64_t WalBytesOnDisk(Env& env) {
   uint64_t total = 0;
-  for (const auto& name : env.ListFiles()) {
-    size_t logger = 0;
-    uint64_t seq = 0;
-    if (!ParseWalFileName(name, &logger, &seq)) continue;
+  for (const WalFile& file : ListWalFiles(&env)) {
     std::string content;
-    if (env.ReadFile(name, &content).ok()) total += content.size();
+    if (env.ReadFile(file.name, &content).ok()) total += content.size();
   }
   return total;
 }
@@ -538,10 +537,11 @@ BoundedRecoveryReport RunBoundedRecovery(const BoundedRecoveryOptions& options) 
   report.total_balance =
       AuditBalances(*sys, report.expected_total, &balance, violations);
   const MessageCounters& c = sys->counters();
-  report.checkpoints_taken = c.checkpoints_taken.load();
-  report.checkpoint_lag_bytes = c.checkpoint_lag_bytes.load();
-  report.wal_segments_truncated = c.wal_segments_truncated.load();
-  report.wal_bytes_truncated = c.wal_bytes_truncated.load();
+  const CheckpointStats& cp = sys->log_manager().checkpoint_stats();
+  report.checkpoints_taken = cp.checkpoints_durable.load();
+  report.checkpoint_lag_bytes = cp.lag_bytes.load();
+  report.wal_segments_truncated = cp.segments_truncated.load();
+  report.wal_bytes_truncated = cp.bytes_truncated.load();
   report.recovery_replay_records = c.recovery_replay_records.load();
   report.recovery_time_us = c.recovery_time_us.load();
   report.wal_bytes_written = sys->log_manager().TotalBytes();

@@ -58,7 +58,8 @@ std::string BenchResult::Summary() const {
   return buf;
 }
 
-std::string FaultToleranceJson(const MessageCounters& counters) {
+std::string FaultToleranceJson(const MessageCounters& counters,
+                               const CheckpointStats& checkpoints) {
   std::ostringstream os;
   os << "{\"actor_kills\":" << counters.actor_kills.load()
      << ",\"reactivations\":" << counters.reactivations.load()
@@ -71,11 +72,11 @@ std::string FaultToleranceJson(const MessageCounters& counters) {
      << ",\"recovery_time_us\":" << counters.recovery_time_us.load()
      << ",\"recovery_replay_records\":"
      << counters.recovery_replay_records.load()
-     << ",\"checkpoints_taken\":" << counters.checkpoints_taken.load()
-     << ",\"checkpoint_lag_bytes\":" << counters.checkpoint_lag_bytes.load()
+     << ",\"checkpoints_taken\":" << checkpoints.checkpoints_durable.load()
+     << ",\"checkpoint_lag_bytes\":" << checkpoints.lag_bytes.load()
      << ",\"wal_segments_truncated\":"
-     << counters.wal_segments_truncated.load()
-     << ",\"wal_bytes_truncated\":" << counters.wal_bytes_truncated.load()
+     << checkpoints.segments_truncated.load()
+     << ",\"wal_bytes_truncated\":" << checkpoints.bytes_truncated.load()
      << ",\"cold_deactivations\":" << counters.cold_deactivations.load()
      << "}";
   return os.str();

@@ -12,6 +12,7 @@
 #include "common/histogram.h"
 #include "common/status.h"
 #include "snapper/txn_types.h"
+#include "wal/checkpoint.h"
 
 namespace snapper::harness {
 
@@ -97,10 +98,10 @@ struct BenchResult {
 /// reactivation count + summed kill-to-serving latency, watchdog-fired
 /// aborts/resolutions, and the checkpoint/recovery economics (recovery time
 /// and replayed records, checkpoints taken, outstanding lag, WAL truncation
-/// totals, cold deactivations). Emitted alongside Summary() by benches and
-/// by the actor-chaos harness so chaos runs are machine-readable. Call the
-/// runtime's SyncWalCounters() first for a coherent checkpoint snapshot.
-std::string FaultToleranceJson(const MessageCounters& counters);
+/// totals, cold deactivations). The checkpoint figures come from
+/// `checkpoints`, i.e. the runtime's LogManager::checkpoint_stats().
+std::string FaultToleranceJson(const MessageCounters& counters,
+                               const CheckpointStats& checkpoints);
 
 /// One-line JSON of an AdmissionController's counters (admitted / shed per
 /// class, degradation sheds, in-flight high-watermarks).

@@ -61,7 +61,7 @@ class TxnSystem {
   /// decision table) preserved, and the counters start a new window.
   virtual Status Reopen(uint64_t num_accounts) = 0;
 
-  /// The runtime's counters, with the checkpoint stats copied in first.
+  /// The runtime's counters (checkpoint stats: log_manager()).
   virtual MessageCounters& counters() = 0;
   virtual ActorRuntime& runtime() = 0;
   virtual LogManager& log_manager() = 0;
@@ -99,10 +99,7 @@ class SnapperTxnSystem final : public TxnSystem {
   /// byte, replaces the device, then Recover() and Start() a fresh runtime.
   Status Reopen(uint64_t num_accounts) override;
 
-  MessageCounters& counters() override {
-    rt_->SyncWalCounters();
-    return rt_->context().counters;
-  }
+  MessageCounters& counters() override { return rt_->context().counters; }
   ActorRuntime& runtime() override { return rt_->runtime(); }
   LogManager& log_manager() override { return rt_->log_manager(); }
   Env& env() override { return env_; }
@@ -142,10 +139,7 @@ class OtxnTxnSystem final : public TxnSystem {
   /// clears any residue of dropped Commit/Abort messages.
   Status Reopen(uint64_t num_accounts) override;
 
-  MessageCounters& counters() override {
-    rt_->SyncWalCounters();
-    return rt_->counters();
-  }
+  MessageCounters& counters() override { return rt_->counters(); }
   ActorRuntime& runtime() override { return rt_->runtime(); }
   LogManager& log_manager() override { return rt_->log_manager(); }
   Env& env() override { return env_; }

@@ -1,28 +1,14 @@
 #include "otxn/otxn_runtime.h"
 
-#include <algorithm>
-#include <cassert>
-#include <chrono>
 #include <optional>
 #include <utility>
 
 #include "async/timer.h"
 #include "wal/checkpoint.h"
 #include "wal/log_format.h"
+#include "wal/wal_reader.h"
 
 namespace snapper::otxn {
-
-namespace {
-
-using TimePoint = std::chrono::steady_clock::time_point;
-TimePoint Now() { return std::chrono::steady_clock::now(); }
-uint32_t MicrosBetween(TimePoint from, TimePoint to) {
-  return static_cast<uint32_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count());
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // TransactionAgent
@@ -99,9 +85,10 @@ OtxnRuntime& OtxnActor::ortx() const {
 void OtxnActor::OnActivate() {
   state_ = InitialState();
   if (runtime().app_context() == nullptr) return;  // bare-runtime tests
-  if (ortx().IsActorKilled(id())) {
+  uint64_t generation = 0;
+  if (ortx().kill_marks().IsMarked(id(), &generation)) {
     recovering_ = true;
-    Reactivate().Start(strand());
+    Reactivate(generation).Start(strand());
   }
 }
 
@@ -112,7 +99,7 @@ void OtxnActor::OnKill() {
       AbortReason::kActorFailed, "actor " + id().ToString() + " killed"));
 }
 
-Task<void> OtxnActor::Reactivate() {
+Task<void> OtxnActor::Reactivate(uint64_t generation) {
   DcheckOnStrand("Reactivate");
   auto& rt = ortx();
   if (rt.log_manager().enabled()) {
@@ -129,54 +116,30 @@ Task<void> OtxnActor::Reactivate() {
     const TimePoint scan_start = Now();
 
     // Replay this actor's records in append order. All of them live in one
-    // logger's stream (LoggerFor is a stable hash); the stream's segments
-    // concatenate in (logger, seq) order — never lexicographic, which would
-    // sort "wal-0-000001.log" before the legacy "wal-0.log". A checkpoint
-    // record resets the base state and discards the prepares before it:
-    // only the checkpoint-to-tail suffix is replayed. Files deleted by a
-    // racing truncation read as NotFound and are skipped — every state
-    // record they held is superseded by a later durable checkpoint.
-    struct WalFile {
-      size_t logger;
-      uint64_t seq;
-      std::string name;
-      bool operator<(const WalFile& o) const {
-        return logger != o.logger ? logger < o.logger : seq < o.seq;
-      }
-    };
-    std::vector<WalFile> files;
-    for (const auto& name : rt.env().ListFiles()) {
-      size_t logger = 0;
-      uint64_t seq = 0;
-      if (ParseWalFileName(name, &logger, &seq)) {
-        files.push_back(WalFile{logger, seq, name});
-      }
-    }
-    std::sort(files.begin(), files.end());
+    // logger's stream (LoggerFor is a stable hash). A checkpoint record
+    // resets the base state and discards the prepares before it: only the
+    // checkpoint-to-tail suffix is replayed. A file that cannot be read is
+    // skipped (ScanWal's status is not consulted): one deleted by a racing
+    // truncation held only state records a later durable checkpoint
+    // supersedes.
     std::optional<Value> base;
     std::vector<std::pair<uint64_t, Value>> prepared;
-    for (const auto& f : files) {
-      std::string content;
-      if (!rt.env().ReadFile(f.name, &content).ok()) continue;
-      LogCursor cursor(content);
-      LogRecord record;
-      while (cursor.Next(&record).ok()) {
-        if (!(record.actor == id()) || record.state.empty()) continue;
-        if (record.type == LogRecordType::kCheckpoint) {
-          std::string_view in = record.state;
-          Value snapshot;
-          if (!snapshot.DecodeFrom(&in)) continue;
-          base = std::move(snapshot);
-          prepared.clear();  // superseded: replay only the suffix
-          continue;
-        }
-        if (record.type != LogRecordType::kActPrepare) continue;
-        std::string_view in = record.state;
-        Value snapshot;
-        if (!snapshot.DecodeFrom(&in)) continue;
+    ScanWal(&rt.env(), [this, &base, &prepared](size_t, LogRecord record) {
+      if (!(record.actor == id()) || record.state.empty()) return;
+      if (record.type != LogRecordType::kCheckpoint &&
+          record.type != LogRecordType::kActPrepare) {
+        return;
+      }
+      std::string_view in = record.state;
+      Value snapshot;
+      if (!snapshot.DecodeFrom(&in)) return;
+      if (record.type == LogRecordType::kCheckpoint) {
+        base = std::move(snapshot);
+        prepared.clear();  // superseded: replay only the suffix
+      } else {
         prepared.emplace_back(record.id, std::move(snapshot));
       }
-    }
+    });
     rt.counters().recovery_replay_records.fetch_add(prepared.size());
     // Early lock release makes prepare order == write order, so the last
     // committed prepared snapshot is the durable state. The TA is the
@@ -197,8 +160,8 @@ Task<void> OtxnActor::Reactivate() {
         MicrosBetween(scan_start, Now()));
   }
   recovering_ = false;
-  std::chrono::steady_clock::time_point killed_at;
-  if (rt.ClearKillMark(id(), &killed_at)) {
+  TimePoint killed_at;
+  if (rt.kill_marks().Clear(id(), generation, &killed_at)) {
     rt.counters().reactivations.fetch_add(1);
     rt.counters().reactivation_us.fetch_add(MicrosBetween(killed_at, Now()));
   }
@@ -265,43 +228,13 @@ Task<Value*> OtxnActor::GetState(TxnContext& ctx, AccessMode mode) {  // NOLINT(
   co_return &state_;
 }
 
-Task<Value> OtxnActor::CallActor(TxnContext& ctx, const ActorId& target,  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
-                                 FuncCall call) {
-  // Issue-time registration: an abort must reach actors whose invocations
-  // are still in flight (their tombstones then reject the late arrival).
-  ctx.info->RegisterParticipant(target);
-  if (target == id()) {
-    co_return co_await InvokeTxn(ctx, std::move(call));
-  }
-  auto future = runtime().Call<OtxnActor>(
-      target, [ctx, call = std::move(call)](OtxnActor& callee) mutable {
-        return callee.InvokeTxn(ctx, std::move(call));
-      });
-  co_return co_await future;
-}
-
-Future<Value> OtxnActor::CallActorAsync(TxnContext& ctx, const ActorId& target,
-                                        FuncCall call) {
-  ctx.info->RegisterParticipant(target);  // see CallActor
-  if (target == id()) {
-    return InvokeTxn(ctx, std::move(call)).Start(strand());
-  }
-  return runtime().Call<OtxnActor>(
-      target, [ctx, call = std::move(call)](OtxnActor& callee) mutable {
-        return callee.InvokeTxn(ctx, std::move(call));
-      });
-}
-
 Task<Value> OtxnActor::InvokeTxn(TxnContext ctx, FuncCall call) {
   DcheckOnStrand("InvokeTxn");
   if (failed() || recovering_) {
     throw TxnAbort(Status::TxnAborted(
         AbortReason::kActorFailed, "actor " + id().ToString() + " unavailable"));
   }
-  auto method = methods_.find(call.method);
-  if (method == methods_.end()) {
-    throw TxnAbort(Status::InvalidArgument("unknown method: " + call.method));
-  }
+  const Method& method = FindMethod(call.method);
   if (IsTombstoned(ctx.tid)) {
     throw TxnAbort(Status::TxnAborted(AbortReason::kCascading,
                                       "transaction already aborted"));
@@ -311,7 +244,7 @@ Task<Value> OtxnActor::InvokeTxn(TxnContext ctx, FuncCall call) {
   Value result;
   std::exception_ptr error;
   try {
-    result = co_await method->second(ctx, std::move(call.input));
+    result = co_await method(ctx, std::move(call.input));
   } catch (...) {
     error = std::current_exception();
   }
@@ -409,16 +342,6 @@ Task<void> OtxnActor::Abort(uint64_t tid) {
   co_return;
 }
 
-void OtxnActor::Tombstone(uint64_t tid) {
-  if (aborted_txns_.insert(tid).second) {
-    aborted_txns_fifo_.push_back(tid);
-    if (aborted_txns_fifo_.size() > kMaxTombstones) {
-      aborted_txns_.erase(aborted_txns_fifo_.front());
-      aborted_txns_fifo_.pop_front();
-    }
-  }
-}
-
 void OtxnActor::DoAbortLocal(uint64_t tid) {
   for (size_t i = 0; i < write_stack_.size(); ++i) {
     if (write_stack_[i].tid != tid) continue;
@@ -444,124 +367,29 @@ void OtxnActor::DoAbortLocal(uint64_t tid) {
 // ---------------------------------------------------------------------------
 
 OtxnRuntime::OtxnRuntime(OtxnConfig config, Env* env)
-    : config_(config),
+    : TxnRuntime(config, env, /*max_inject_delay_ms=*/0),
+      config_(config),
       // Single submission class: the whole budget is the "ACT" bucket and
       // the degradation threshold is moot.
       admission_(AdmissionController::Options{
           .pact_tokens = 0,
           .act_tokens = config.max_inflight_txns,
-          .degrade_threshold = 1.0}),
-      shed_future_([] {
-        Promise<TxnResult> promise;
-        TxnResult shed;
-        shed.status = Status::Overloaded("act budget");
-        promise.Set(std::move(shed));
-        return promise.GetFuture();
-      }()) {
-  if (env == nullptr) {
-    owned_env_ = std::make_unique<MemEnv>();
-    env = owned_env_.get();
-  }
-  env_ = env;
-  ActorRuntime::Options options;
-  options.num_workers = config.num_workers;
-  options.mailbox_capacity = config.mailbox_capacity;
-  options.seed = config.seed;
-  runtime_ = std::make_unique<ActorRuntime>(options);
-  log_manager_ = std::make_unique<LogManager>(
-      LogManager::Options{
-          .num_loggers = config.num_loggers,
-          .enable_logging = config.enable_logging,
-          .segment_bytes = config.wal_segment_bytes,
-          .checkpoint_threshold_bytes = config.checkpoint_threshold_bytes},
-      env_);
-  if (auto* cp = log_manager_->checkpoints();
-      cp != nullptr && cp->checkpointing_enabled()) {
-    cp->SetRequestCheckpointFn([this](const ActorId& id) {
-      // coro-lint: allow(discarded-task) — fire-and-forget turn; the
-      // CheckpointManager learns the outcome via its own hooks.
-      runtime_->Call<OtxnActor>(
-          id, [](OtxnActor& a) { return a.MaybeCheckpoint(); });
-    });
-  }
+          .degrade_threshold = 1.0}) {
   runtime_->set_app_context(this);
   ta_strand_ = runtime_->NewStrand();
 }
 
 OtxnRuntime::~OtxnRuntime() { Shutdown(); }
 
-void OtxnRuntime::Shutdown() {
-  runtime_->Shutdown();
-  log_manager_->Shutdown();
-}
-
 void OtxnRuntime::KillActor(const ActorId& id) {
-  {
-    MutexLock lock(&kill_mu_);
-    kill_marks_[id] = std::chrono::steady_clock::now();
-  }
-  counters_.actor_kills.fetch_add(1);
-  // coro-lint: allow(discarded-task) — ActorRuntime::KillActor returns
-  // bool; the Future-returning KillActor is SnapperRuntime's.
-  runtime_->KillActor(id);
-}
-
-void OtxnRuntime::SyncWalCounters() {
-  const auto* cp = log_manager_->checkpoints();
-  if (cp == nullptr) return;
-  const CheckpointStats& stats = cp->stats();
-  counters_.checkpoints_taken.store(stats.checkpoints_durable.load());
-  counters_.checkpoint_lag_bytes.store(stats.lag_bytes.load());
-  counters_.wal_segments_truncated.store(stats.segments_truncated.load());
-  counters_.wal_bytes_truncated.store(stats.bytes_truncated.load());
-}
-
-bool OtxnRuntime::IsActorKilled(const ActorId& id) const {
-  // Marks are set by the harness kill thread and read by turns: recorded
-  // under an active trace session, forced on replay (mirrors
-  // SnapperContext's kill marks).
-  bool physical;
-  {
-    MutexLock lock(&kill_mu_);
-    physical = kill_marks_.count(id) > 0;
-  }
-  if (!trace::Active()) return physical;
-  return trace::DecisionBool(trace::Site::kKillMarkCheck, physical);
-}
-
-bool OtxnRuntime::ClearKillMark(
-    const ActorId& id, std::chrono::steady_clock::time_point* killed_at) {
-  MutexLock lock(&kill_mu_);
-  auto it = kill_marks_.find(id);
-  const bool physical = it != kill_marks_.end();
-  const bool decided =
-      trace::Active()
-          ? trace::DecisionBool(trace::Site::kKillMarkClear, physical)
-          : physical;
-  if (!decided) return false;
-  // The timestamp feeds only the reactivation-latency counter, which is
-  // excluded from replay comparison; a forced-true clear with no physical
-  // mark reports "now".
-  *killed_at =
-      physical ? it->second : std::chrono::steady_clock::now();
-  if (physical) kill_marks_.erase(it);
-  return true;
-}
-
-uint32_t OtxnRuntime::RegisterActorType(
-    std::string name,
-    std::function<std::shared_ptr<OtxnActor>(uint64_t)> factory) {
-  return runtime_->RegisterType(
-      std::move(name),
-      [factory = std::move(factory)](uint64_t key)
-          -> std::shared_ptr<ActorBase> { return factory(key); });
+  MarkKilledAndEvict(id, counters_);
 }
 
 Future<TxnResult> OtxnRuntime::Submit(const ActorId& first, std::string method,
                                       Value input) {
   Status admit = admission_.Admit(AdmissionController::TxnClass::kAct);
   // Allocation-free shed: a copy of the pre-resolved kOverloaded future.
-  if (!admit.ok()) return shed_future_;
+  if (!admit.ok()) return shed_act_future_;
   FuncCall call{std::move(method), std::move(input)};
   auto task = RunTxn(first, std::move(call));
   auto future = task.Start(*ta_strand_);

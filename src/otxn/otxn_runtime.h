@@ -11,14 +11,15 @@
 //   * participants persist Prepare (with state) and Commit records, the TA
 //     persists CoordPrepare/CoordCommit — same logger substrate as Snapper.
 //
-// Workload code written against Snapper's TransactionalActor API runs
-// unchanged on OtxnActor (same method registry, GetState, CallActor).
+// Everything but the protocol is shared with Snapper: the actor surface
+// (method registry, CallActor, tombstones) is TxnActorBase, the silo wiring
+// (actor runtime, loggers, kill marks) is TxnRuntime, and reactivation reads
+// the WAL through ScanWal. Workload code written against Snapper's
+// TransactionalActor API therefore runs unchanged on OtxnActor.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -29,12 +30,12 @@
 #include "common/admission.h"
 #include "common/mutex.h"
 
-#include "actor/actor.h"
 #include "async/task.h"
 #include "common/value.h"
 #include "snapper/lock_table.h"
+#include "snapper/txn_actor.h"
+#include "snapper/txn_runtime.h"
 #include "snapper/txn_types.h"
-#include "wal/logger.h"
 
 namespace snapper::otxn {
 
@@ -86,18 +87,14 @@ class TransactionAgent {
 
 class OtxnRuntime;
 
-/// Base class for user actors under the OrleansTxn baseline. API mirrors
-/// snapper::TransactionalActor so workload templates instantiate over both.
-class OtxnActor : public ActorBase {
+/// Base class for user actors under the OrleansTxn baseline. Shares
+/// TxnActorBase with snapper::TransactionalActor, so workload templates
+/// instantiate over both.
+class OtxnActor : public TxnActorBase {
  public:
-  using Method = std::function<Task<Value>(TxnContext&, Value)>;
-
   Task<Value*> GetState(TxnContext& ctx, AccessMode mode);
-  Task<Value> CallActor(TxnContext& ctx, const ActorId& target, FuncCall call);
-  Future<Value> CallActorAsync(TxnContext& ctx, const ActorId& target,
-                               FuncCall call);
 
-  Task<Value> InvokeTxn(TxnContext ctx, FuncCall call);
+  Task<Value> InvokeTxn(TxnContext ctx, FuncCall call) override;
 
   /// 2PC participant surface, driven by the TA.
   Task<bool> Prepare(uint64_t tid);
@@ -126,12 +123,6 @@ class OtxnActor : public ActorBase {
 
   const Value& state_for_test() const { return state_; }
 
- protected:
-  void RegisterMethod(std::string name, Method method) {
-    methods_[std::move(name)] = std::move(method);
-  }
-  virtual Value InitialState() const { return Value(); }
-
  private:
   friend class OtxnRuntime;
   OtxnRuntime& ortx() const;
@@ -141,10 +132,9 @@ class OtxnActor : public ActorBase {
   /// disk), seeds from this actor's last durable checkpoint (if any), then
   /// replays only the prepared snapshots after it in append order, keeping
   /// the last one the TA decided committed (early lock release makes
-  /// prepare order == write order), then starts serving. Segment files are
-  /// visited in (logger, seq) order; files deleted by a racing truncation
-  /// are skipped — their content is superseded by a later checkpoint.
-  Task<void> Reactivate();
+  /// prepare order == write order), then starts serving and clears the
+  /// kill mark of `generation`. The WAL is read with ScanWal.
+  Task<void> Reactivate(uint64_t generation);
 
   Value state_;
   /// Fresh activation after a kill, durable state not reinstalled yet:
@@ -152,7 +142,6 @@ class OtxnActor : public ActorBase {
   bool recovering_ = false;
   // No wait-die: conflicting requests queue; timeouts break deadlocks.
   ActorLock lock_{/*wait_die=*/false};
-  std::map<std::string, Method> methods_;
 
   /// Early-lock-release dirty-write stack: uncommitted writers in write
   /// order. An abort of entry i rolls back to its before-image and discards
@@ -172,28 +161,14 @@ class OtxnActor : public ActorBase {
     bool abort_pending = false;
   };
   std::map<uint64_t, TxnLocal> txn_local_;
-  std::set<uint64_t> aborted_txns_;
-  std::deque<uint64_t> aborted_txns_fifo_;
-  static constexpr size_t kMaxTombstones = 1 << 16;
-  void Tombstone(uint64_t tid);
-  bool IsTombstoned(uint64_t tid) const {
-    return aborted_txns_.count(tid) > 0;
-  }
   void DoAbortLocal(uint64_t tid);
 };
 
-/// Facade: owns the actor runtime, loggers, and the TA.
-class OtxnRuntime {
+/// Facade: the shared silo wiring (TxnRuntime) plus the TA.
+class OtxnRuntime : public TxnRuntime<OtxnActor> {
  public:
   explicit OtxnRuntime(OtxnConfig config, Env* env = nullptr);
   ~OtxnRuntime();
-
-  OtxnRuntime(const OtxnRuntime&) = delete;
-  OtxnRuntime& operator=(const OtxnRuntime&) = delete;
-
-  uint32_t RegisterActorType(
-      std::string name,
-      std::function<std::shared_ptr<OtxnActor>(uint64_t key)> factory);
 
   /// Submits a transaction; the TA assigns the tid and coordinates 2PC.
   /// Sheds with a typed kOverloaded result when the admission budget
@@ -205,12 +180,9 @@ class OtxnRuntime {
     return Submit(first, std::move(method), std::move(input)).Get();
   }
 
-  ActorRuntime& runtime() { return *runtime_; }
   TransactionAgent& agent() { return agent_; }
-  LogManager& log_manager() { return *log_manager_; }
   const OtxnConfig& config() const { return config_; }
   MessageCounters& counters() { return counters_; }
-  Env& env() { return *env_; }
   /// Admission counters for the harness metrics JSON.
   const AdmissionController& admission() const { return admission_; }
   /// High-watermark of the TA strand's queue — the baseline's central
@@ -221,35 +193,16 @@ class OtxnRuntime {
   /// authority; the next dispatch activates a fresh instance that rebuilds
   /// its state from the WAL + TA decisions (OtxnActor::Reactivate).
   void KillActor(const ActorId& id);
-  bool IsActorKilled(const ActorId& id) const;
-  bool ClearKillMark(const ActorId& id,
-                     std::chrono::steady_clock::time_point* killed_at);
-
-  /// Copies CheckpointManager counters into counters() (one coherent
-  /// snapshot for harness metrics); cheap, call before reading them.
-  void SyncWalCounters();
-
-  void Shutdown();
 
  private:
   friend class OtxnActor;
   Task<TxnResult> RunTxn(ActorId first, FuncCall call);
 
   OtxnConfig config_;
-  std::unique_ptr<Env> owned_env_;
-  Env* env_;
-  std::unique_ptr<ActorRuntime> runtime_;
-  std::unique_ptr<LogManager> log_manager_;
   AdmissionController admission_;
-  /// Pre-resolved kOverloaded future returned (by copy) on admission shed —
-  /// the reject path must stay allocation-free under saturating load.
-  Future<TxnResult> shed_future_;
   TransactionAgent agent_;
   MessageCounters counters_;
   std::shared_ptr<Strand> ta_strand_;
-  mutable Mutex kill_mu_;
-  std::map<ActorId, std::chrono::steady_clock::time_point> kill_marks_
-      GUARDED_BY(kill_mu_);
 };
 
 }  // namespace snapper::otxn

@@ -62,9 +62,10 @@ struct RecoveryResult {
 
 class RecoveryManager {
  public:
-  /// Scans every "wal-*.log" file in `env`. Torn tails (unsynced partial
-  /// frames) terminate that file's scan cleanly, as in ARIES-style
-  /// recovery; genuine mid-file corruption is reported the same way.
+  /// Scans every WAL segment in `env` with ScanWal (wal/wal_reader.h):
+  /// torn tails (unsynced partial frames) end that file's records cleanly,
+  /// as in ARIES-style recovery, and genuine mid-file corruption is treated
+  /// the same way. Fails on a read error other than NotFound.
   static Result<RecoveryResult> Run(Env* env);
 };
 

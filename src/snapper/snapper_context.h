@@ -6,7 +6,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -21,6 +20,7 @@
 #include "common/value.h"
 
 #include "actor/actor.h"
+#include "actor/kill_marks.h"
 #include "async/future.h"
 #include "async/task.h"
 #include "snapper/commit_sequencer.h"
@@ -107,6 +107,10 @@ struct SnapperContext {
   SnapperConfig config;
   ActorRuntime* runtime = nullptr;
   LogManager* log_manager = nullptr;
+  /// Fail-stop kills awaiting reactivation: a marked actor's fresh
+  /// activation serves nothing (recovering_) until SnapperRuntime reinstalls
+  /// its durable state.
+  KillMarks* kill_marks = nullptr;
   CommitSequencer sequencer;
   MessageCounters counters;
   std::unique_ptr<GlobalAbortController> abort_controller;
@@ -157,56 +161,6 @@ struct SnapperContext {
     return v;
   }
 
-  // --- Kill marks (fail-stop kills awaiting reactivation) ---------------
-  // A marked actor's fresh activation serves nothing (recovering_) until
-  // SnapperRuntime reinstalls its durable state; the generation lets a
-  // second kill supersede a reactivation still in flight.
-
-  uint64_t MarkActorKilled(const ActorId& id) {
-    MutexLock lock(&kill_mu_);
-    auto& mark = kill_marks_[id];
-    mark.generation = ++kill_generation_;
-    mark.killed_at = std::chrono::steady_clock::now();
-    return mark.generation;
-  }
-
-  /// The mark is set by the harness kill thread and read by turns, so the
-  /// observation is recorded under an active trace session and forced on
-  /// replay.
-  bool IsActorKilled(const ActorId& id) const {
-    bool physical;
-    {
-      MutexLock lock(&kill_mu_);
-      physical = kill_marks_.count(id) > 0;
-    }
-    if (!trace::Active()) return physical;
-    return trace::DecisionBool(trace::Site::kKillMarkCheck, physical);
-  }
-
-  /// Clears the mark iff it still carries `generation`; reports the kill
-  /// time (for the reactivation-latency counter) on success. The found-bit
-  /// is recorded/forced like IsActorKilled; the kill timestamp feeds only
-  /// timing counters excluded from replay comparison, so a forced-true
-  /// clear that finds no physical mark reports "now".
-  bool ClearKillMark(const ActorId& id, uint64_t generation,
-                     std::chrono::steady_clock::time_point* killed_at) {
-    MutexLock lock(&kill_mu_);
-    auto it = kill_marks_.find(id);
-    const bool physical =
-        it != kill_marks_.end() && it->second.generation == generation;
-    const bool decided =
-        trace::Active()
-            ? trace::DecisionBool(trace::Site::kKillMarkClear, physical)
-            : physical;
-    if (!decided) return false;
-    if (killed_at != nullptr) {
-      *killed_at = physical ? it->second.killed_at
-                            : std::chrono::steady_clock::now();
-    }
-    if (physical) kill_marks_.erase(it);
-    return true;
-  }
-
   // --- ACT decision table ------------------------------------------------
   // 2PC outcomes recorded by the root (commit: right after the CoordCommit
   // record is durable; abort: on entering the abort path). A prepared
@@ -240,19 +194,11 @@ struct SnapperContext {
   }
 
  private:
-  struct KillMark {
-    uint64_t generation = 0;
-    std::chrono::steady_clock::time_point killed_at{};
-  };
   static constexpr size_t kMaxActDecisions = 1 << 16;
 
   Mutex registry_mu_;
   std::set<ActorId> transactional_actors_ GUARDED_BY(registry_mu_);
   std::map<ActorId, Value> recovered_states_ GUARDED_BY(registry_mu_);
-
-  mutable Mutex kill_mu_;
-  std::map<ActorId, KillMark> kill_marks_ GUARDED_BY(kill_mu_);
-  uint64_t kill_generation_ GUARDED_BY(kill_mu_) = 0;
 
   mutable Mutex decision_mu_;
   std::map<uint64_t, std::pair<bool, uint64_t>> act_decisions_

@@ -166,49 +166,15 @@ void GlobalAbortController::FinishRound() {
 // ---------------------------------------------------------------------------
 
 SnapperRuntime::SnapperRuntime(SnapperConfig config, Env* env)
-    : admission_(AdmissionController::Options{
+    : TxnRuntime(config, env, config.max_inject_delay_ms),
+      admission_(AdmissionController::Options{
           .pact_tokens = config.max_inflight_pacts,
           .act_tokens = config.max_inflight_acts,
-          .degrade_threshold = config.admission_degrade_threshold}),
-      shed_pact_future_(FailFastStatus(Status::Overloaded("pact budget"))),
-      shed_act_future_(FailFastStatus(Status::Overloaded("act budget"))) {
-  if (env == nullptr) {
-    owned_env_ = std::make_unique<MemEnv>();
-    env = owned_env_.get();
-  }
-  env_ = env;
-
-  ActorRuntime::Options options;
-  options.num_workers = config.num_workers;
-  options.max_inject_delay_ms = config.max_inject_delay_ms;
-  options.mailbox_capacity = config.mailbox_capacity;
-  options.seed = config.seed;
-  runtime_ = std::make_unique<ActorRuntime>(options);
-
-  log_manager_ = std::make_unique<LogManager>(
-      LogManager::Options{
-          .num_loggers = config.num_loggers,
-          .enable_logging = config.enable_logging,
-          .segment_bytes = config.wal_segment_bytes,
-          .checkpoint_threshold_bytes = config.checkpoint_threshold_bytes},
-      env_);
-  if (auto* cp = log_manager_->checkpoints();
-      cp != nullptr && cp->checkpointing_enabled()) {
-    // Fired from a logger strand when an actor's durable lag crosses the
-    // threshold; the checkpoint itself runs as a normal turn on the actor's
-    // strand and defers (skips) unless the actor is quiescent.
-    cp->SetRequestCheckpointFn([this](const ActorId& id) {
-      // coro-lint: allow(discarded-task) — fire-and-forget turn; the
-      // CheckpointManager is notified of the outcome via its own hooks.
-      runtime_->Call<TransactionalActor>(id, [](TransactionalActor& a) {
-        return a.MaybeCheckpoint();
-      });
-    });
-  }
-
+          .degrade_threshold = config.admission_degrade_threshold}) {
   context_.config = config;
   context_.runtime = runtime_.get();
   context_.log_manager = log_manager_.get();
+  context_.kill_marks = &kill_marks();
   context_.abort_controller =
       std::make_unique<GlobalAbortController>(&context_);
   runtime_->set_app_context(&context_);
@@ -220,16 +186,6 @@ SnapperRuntime::SnapperRuntime(SnapperConfig config, Env* env)
 }
 
 SnapperRuntime::~SnapperRuntime() { Shutdown(); }
-
-uint32_t SnapperRuntime::RegisterActorType(
-    std::string name,
-    std::function<std::shared_ptr<TransactionalActor>(uint64_t)> factory) {
-  assert(!started_ && "register actor types before Start()");
-  return runtime_->RegisterType(
-      std::move(name),
-      [factory = std::move(factory)](uint64_t key)
-          -> std::shared_ptr<ActorBase> { return factory(key); });
-}
 
 Result<RecoveryResult> SnapperRuntime::Recover() {
   assert(!started_ && "Recover() must precede Start()");
@@ -262,7 +218,6 @@ Result<RecoveryResult> SnapperRuntime::Recover() {
   }
 
   context_.StageRecoveredStates(result.value().actor_states);
-  SyncWalCounters();
   return result;
 }
 
@@ -281,15 +236,6 @@ void SnapperRuntime::Start() {
 Future<TxnResult> SnapperRuntime::FailFastDegraded() {
   return FailFastStatus(
       Status::IOError("WAL degraded: transactional submission rejected"));
-}
-
-Future<TxnResult> SnapperRuntime::FailFastStatus(Status status) {
-  Promise<TxnResult> promise;
-  auto future = promise.GetFuture();
-  TxnResult result;
-  result.status = std::move(status);
-  promise.Set(std::move(result));
-  return future;
 }
 
 Future<TxnResult> SnapperRuntime::WithAdmission(
@@ -381,11 +327,7 @@ Future<TxnResult> SnapperRuntime::SubmitNt(const ActorId& first,
 
 Future<Unit> SnapperRuntime::KillActor(const ActorId& id) {
   assert(started_);
-  const uint64_t generation = context_.MarkActorKilled(id);
-  context_.counters.actor_kills.fetch_add(1);
-  // coro-lint: allow(discarded-task) — ActorRuntime::KillActor returns
-  // bool; only SnapperRuntime's same-named method is a Future.
-  runtime_->KillActor(id);
+  const uint64_t generation = MarkKilledAndEvict(id, context_.counters);
   // Coordinators abort in-flight batches naming the dead participant, with
   // a durable BatchAbort record, so the bid-ordered commit chain never
   // waits on it.
@@ -447,7 +389,7 @@ void SnapperRuntime::MaybeShedColdActors() {
   acks.reserve(candidates.size());
   for (const auto& id : candidates) {
     // An actor mid-kill already has no activation worth shedding.
-    if (context_.IsActorKilled(id)) continue;
+    if (kill_marks().IsMarked(id)) continue;
     acks.push_back(runtime_->Call<TransactionalActor>(
         id,
         [](TransactionalActor& a) { return a.CheckpointAndDeactivate(); }));
@@ -459,22 +401,6 @@ void SnapperRuntime::MaybeShedColdActors() {
   WhenAll(std::move(acks)).OnReady([this]() {
     cold_shed_inflight_.store(false);
   });
-}
-
-void SnapperRuntime::SyncWalCounters() {
-  const auto* cp = log_manager_->checkpoints();
-  if (cp == nullptr) return;
-  const CheckpointStats& stats = cp->stats();
-  context_.counters.checkpoints_taken.store(stats.checkpoints_durable.load());
-  context_.counters.checkpoint_lag_bytes.store(stats.lag_bytes.load());
-  context_.counters.wal_segments_truncated.store(
-      stats.segments_truncated.load());
-  context_.counters.wal_bytes_truncated.store(stats.bytes_truncated.load());
-}
-
-void SnapperRuntime::Shutdown() {
-  runtime_->Shutdown();
-  log_manager_->Shutdown();
 }
 
 }  // namespace snapper

@@ -1,7 +1,8 @@
-// SnapperRuntime: the library facade. Owns the actor runtime, the shared
-// loggers, the coordinator ring, the commit sequencer and the global-abort
-// controller; exposes the client API of paper Table 1 (StartTxn in PACT /
-// ACT / NT flavours) plus recovery.
+// SnapperRuntime: the library facade. On top of the silo wiring it shares
+// with the OrleansTxn baseline (TxnRuntime: actor runtime, shared loggers,
+// kill marks) it owns the coordinator ring, the commit sequencer and the
+// global-abort controller; exposes the client API of paper Table 1
+// (StartTxn in PACT / ACT / NT flavours) plus recovery.
 //
 // Typical use:
 //   SnapperRuntime rt(config);                     // or rt(config, &my_env)
@@ -22,26 +23,17 @@
 #include "snapper/recovery.h"
 #include "snapper/snapper_context.h"
 #include "snapper/transactional_actor.h"
+#include "snapper/txn_runtime.h"
 #include "wal/env.h"
 
 namespace snapper {
 
-class SnapperRuntime {
+class SnapperRuntime : public TxnRuntime<TransactionalActor> {
  public:
   /// `env` is the WAL storage backend; nullptr selects an internal MemEnv
   /// (still exercising the full logging path; see EXPERIMENTS.md).
   explicit SnapperRuntime(SnapperConfig config, Env* env = nullptr);
   ~SnapperRuntime();
-
-  SnapperRuntime(const SnapperRuntime&) = delete;
-  SnapperRuntime& operator=(const SnapperRuntime&) = delete;
-
-  /// Registers a user-defined transactional actor type. Must be called
-  /// before Start().
-  uint32_t RegisterActorType(
-      std::string name,
-      std::function<std::shared_ptr<TransactionalActor>(uint64_t key)>
-          factory);
 
   /// Replays the WAL in `env` and stages recovered actor states; actors
   /// pick them up on (re-)activation. Call before Start() when reopening
@@ -107,26 +99,14 @@ class SnapperRuntime {
   void CrashActors() { runtime_->CrashAllActors(); }
 
   SnapperContext& context() { return context_; }
-  ActorRuntime& runtime() { return *runtime_; }
-  LogManager& log_manager() { return *log_manager_; }
   /// Admission counters (admitted / shed / in-flight high-watermarks) for
   /// the harness metrics JSON.
   const AdmissionController& admission() const { return admission_; }
-  Env& env() { return *env_; }
   const SnapperConfig& config() const { return context_.config; }
-
-  /// Copies the CheckpointManager's counters (checkpoints taken, current
-  /// lag, truncated segments/bytes) into context().counters so harness
-  /// metrics see one coherent snapshot. Cheap; call before reading counters.
-  void SyncWalCounters();
 
   /// Test hook: runs one checkpoint-then-deactivate sweep over the coldest
   /// actors, as the admission shed path does when degraded.
   void ShedColdActorsForTest() { MaybeShedColdActors(); }
-
-  /// Drains workers, timers and the WAL device threads. Called by the
-  /// destructor.
-  void Shutdown();
 
  private:
   /// Graceful degradation under overload: checkpoint-then-deactivate up to
@@ -136,9 +116,6 @@ class SnapperRuntime {
   /// no-op unless checkpointing is enabled.
   void MaybeShedColdActors();
   Future<TxnResult> FailFastDegraded();
-  /// A future pre-resolved with `status` — the typed fail-fast path shared
-  /// by WAL-degraded and admission-shed submissions.
-  static Future<TxnResult> FailFastStatus(Status status);
   /// Takes an admission token for `cls` and returns the gated submission, or
   /// sheds with a pre-resolved kOverloaded future. The token is released
   /// when the client-visible future resolves.
@@ -152,17 +129,7 @@ class SnapperRuntime {
   void ReactivateFromWal(const ActorId& id, uint64_t generation,
                          std::shared_ptr<Promise<Unit>> done);
 
-  std::unique_ptr<Env> owned_env_;
-  Env* env_;
-  std::unique_ptr<ActorRuntime> runtime_;
-  std::unique_ptr<LogManager> log_manager_;
   AdmissionController admission_;
-  /// Pre-resolved kOverloaded futures returned (by copy) on admission shed.
-  /// The reject path runs at full offered load precisely when the system is
-  /// saturated, so it must not allocate; per-cause detail (e.g. degraded
-  /// ACT shedding) lives in the admission stats, not the result status.
-  Future<TxnResult> shed_pact_future_;
-  Future<TxnResult> shed_act_future_;
   SnapperContext context_;
   uint64_t tid_base_ = 1;
   bool started_ = false;

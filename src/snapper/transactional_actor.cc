@@ -1,7 +1,6 @@
 #include "snapper/transactional_actor.h"
 
 #include <cassert>
-#include <chrono>
 
 #include "snapper/coordinator.h"
 #include "wal/log_format.h"
@@ -15,16 +14,6 @@ uint64_t MaxBid(uint64_t a, uint64_t b) {
   if (a == kNoBid) return b;
   if (b == kNoBid) return a;
   return std::max(a, b);
-}
-
-using TimePoint = std::chrono::steady_clock::time_point;
-
-TimePoint Now() { return std::chrono::steady_clock::now(); }
-
-uint32_t MicrosBetween(TimePoint from, TimePoint to) {
-  return static_cast<uint32_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count());
 }
 
 }  // namespace
@@ -42,7 +31,7 @@ void TransactionalActor::OnActivate() {
   auto recovered = sctx().TakeRecoveredState(id());
   InstallState(recovered.has_value() ? std::move(*recovered) : InitialState());
   sctx().RegisterTransactionalActor(id());
-  if (sctx().IsActorKilled(id())) {
+  if (sctx().kill_marks->IsMarked(id())) {
     // Fresh activation standing in for a killed one: serve nothing until the
     // runtime reinstalls the durable state (FinishReactivation) — serving
     // InitialState here would fork history.
@@ -67,8 +56,8 @@ void TransactionalActor::OnKill() {
 Task<void> TransactionalActor::FinishReactivation(std::optional<Value> state,
                                                   uint64_t generation) {
   DcheckOnStrand("FinishReactivation");
-  std::chrono::steady_clock::time_point killed_at;
-  if (!sctx().ClearKillMark(id(), generation, &killed_at)) {
+  TimePoint killed_at;
+  if (!sctx().kill_marks->Clear(id(), generation, &killed_at)) {
     co_return;  // a newer kill superseded this reactivation
   }
   if (state.has_value()) InstallState(std::move(*state));
@@ -115,7 +104,7 @@ Task<Value*> TransactionalActor::GetState(TxnContext& ctx, AccessMode mode) {  /
       co_return &state_;
 
     case TxnMode::kAct: {
-      if (IsTombstonedAct(ctx.tid)) {
+      if (IsTombstoned(ctx.tid)) {
         throw TxnAbort(Status::TxnAborted(AbortReason::kCascading,
                                           "ACT already aborted"));
       }
@@ -146,43 +135,6 @@ Task<Value*> TransactionalActor::GetState(TxnContext& ctx, AccessMode mode) {  /
   co_return &state_;  // unreachable
 }
 
-Task<Value> TransactionalActor::CallActor(TxnContext& ctx,  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
-                                          const ActorId& target,  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
-                                          FuncCall call) {
-  // Register the callee at issue time, not arrival time: if the transaction
-  // aborts while this call is still in flight, the root must know to send
-  // the callee an abort (whose tombstone then rejects the late invocation).
-  if (ctx.mode == TxnMode::kAct && ctx.info) {
-    ctx.info->RegisterParticipant(target);
-  }
-  if (target == id()) {
-    // Local call: still a distinct access, scheduled like any other.
-    co_return co_await InvokeTxn(ctx, std::move(call));
-  }
-  auto future = runtime().Call<TransactionalActor>(
-      target,
-      [ctx, call = std::move(call)](TransactionalActor& callee) mutable {
-        return callee.InvokeTxn(ctx, std::move(call));
-      });
-  co_return co_await future;
-}
-
-Future<Value> TransactionalActor::CallActorAsync(TxnContext& ctx,
-                                                 const ActorId& target,
-                                                 FuncCall call) {
-  if (ctx.mode == TxnMode::kAct && ctx.info) {
-    ctx.info->RegisterParticipant(target);  // see CallActor
-  }
-  if (target == id()) {
-    return InvokeTxn(ctx, std::move(call)).Start(strand());
-  }
-  return runtime().Call<TransactionalActor>(
-      target,
-      [ctx, call = std::move(call)](TransactionalActor& callee) mutable {
-        return callee.InvokeTxn(ctx, std::move(call));
-      });
-}
-
 // ---------------------------------------------------------------------------
 // Invocation wrappers (callee side)
 // ---------------------------------------------------------------------------
@@ -208,19 +160,14 @@ Task<Value> TransactionalActor::InvokeTxn(TxnContext ctx, FuncCall call) {
                                         "transaction epoch is stale"));
     }
   }
-  auto method = methods_.find(call.method);
-  if (method == methods_.end()) {
-    throw TxnAbort(
-        Status::InvalidArgument("unknown method: " + call.method));
-  }
+  const Method& method = FindMethod(call.method);
   switch (ctx.mode) {
     case TxnMode::kPact:
-      co_return co_await InvokePact(ctx, method->second,
-                                    std::move(call.input));
+      co_return co_await InvokePact(ctx, method, std::move(call.input));
     case TxnMode::kAct:
-      co_return co_await InvokeAct(ctx, method->second, std::move(call.input));
+      co_return co_await InvokeAct(ctx, method, std::move(call.input));
     case TxnMode::kNt: {
-      co_return co_await method->second(ctx, std::move(call.input));
+      co_return co_await method(ctx, std::move(call.input));
     }
   }
   co_return Value();  // unreachable
@@ -269,7 +216,7 @@ Task<Value> TransactionalActor::InvokePact(TxnContext ctx,
 Task<Value> TransactionalActor::InvokeAct(TxnContext ctx, const Method& method,  // NOLINT(cppcoreguidelines-avoid-reference-coroutine-parameters)
                                           Value input) {
   assert(ctx.info != nullptr && "ACT context without SharedTxnInfo");
-  if (IsTombstonedAct(ctx.tid)) {
+  if (IsTombstoned(ctx.tid)) {
     // The transaction was already aborted here; this invocation arrived
     // late (message order is nondeterministic) and must not re-register.
     throw TxnAbort(
@@ -286,7 +233,7 @@ Task<Value> TransactionalActor::InvokeAct(TxnContext ctx, const Method& method, 
                                       "schedule wait timed out"));
   }
   if (!turn.ok()) throw TxnAbort(turn);
-  if (IsTombstonedAct(ctx.tid)) {
+  if (IsTombstoned(ctx.tid)) {
     throw TxnAbort(
         Status::TxnAborted(AbortReason::kCascading, "ACT already aborted"));
   }
@@ -301,7 +248,7 @@ Task<Value> TransactionalActor::InvokeAct(TxnContext ctx, const Method& method, 
     error = std::current_exception();
   }
 
-  if (error == nullptr && !IsTombstonedAct(ctx.tid)) {
+  if (error == nullptr && !IsTombstoned(ctx.tid)) {
     // BeforeSet/AfterSet contribution taken when the invocation finishes
     // (§4.4.3). The actor's committed-ACT watermark folds transitive
     // Tj -> Ti dependencies into the BeforeSet.
@@ -722,19 +669,9 @@ Task<void> TransactionalActor::ActAbort(uint64_t tid) {
   co_return;
 }
 
-void TransactionalActor::TombstoneAct(uint64_t tid) {
-  if (aborted_acts_.insert(tid).second) {
-    aborted_acts_fifo_.push_back(tid);
-    if (aborted_acts_fifo_.size() > kMaxActTombstones) {
-      aborted_acts_.erase(aborted_acts_fifo_.front());
-      aborted_acts_fifo_.pop_front();
-    }
-  }
-}
-
 void TransactionalActor::AbortActLocal(uint64_t tid) {
   DcheckOnStrand("AbortActLocal");
-  TombstoneAct(tid);  // blocks late re-registration and new state access
+  Tombstone(tid);  // blocks late re-registration and new state access
   auto local = act_local_.find(tid);
   if (local != act_local_.end() && local->second.active > 0) {
     // A method of this transaction is still running here (the root's abort

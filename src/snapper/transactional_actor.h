@@ -1,7 +1,7 @@
 // TransactionalActor: the base class of every user-defined actor in Snapper
 // (paper §3.1). It implements, per actor:
-//   * the transactional API visible to user methods — GetState / CallActor
-//     (paper Table 1, Fig. 2);
+//   * the transactional API visible to user methods — GetState, plus the
+//     CallActor of TxnActorBase (paper Table 1, Fig. 2);
 //   * deterministic PACT scheduling against the LocalSchedule (§4.2.3),
 //     including speculative sub-batch execution, the BatchComplete /
 //     BatchCommit protocol (§4.2.4), and snapshot-based rollback;
@@ -13,6 +13,9 @@
 //     with the incomplete-AfterSet optimization;
 //   * the actor-local part of the global cascading abort (§4.2.4).
 //
+// The method registry, CallActor and the ACT tombstones come from
+// TxnActorBase, which the OrleansTxn baseline's OtxnActor shares.
+//
 // Actor state is a `Value` blob (the paper also treats each actor's state as
 // a value blob, §5.4.2). Subclasses register named methods in their
 // constructor and manipulate the state through GetState. Only the live state
@@ -23,32 +26,25 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "actor/actor.h"
 #include "async/task.h"
 #include "common/value.h"
 #include "snapper/local_schedule.h"
 #include "snapper/lock_table.h"
 #include "snapper/snapper_context.h"
+#include "snapper/txn_actor.h"
 #include "snapper/txn_types.h"
 #include "wal/log_format.h"
 
 namespace snapper {
 
-class TransactionalActor : public ActorBase {
+class TransactionalActor : public TxnActorBase {
  public:
-  /// A transactional method: receives the context and the call input,
-  /// returns the call result. Must access state only via GetState and call
-  /// other actors only via CallActor.
-  using Method = std::function<Task<Value>(TxnContext&, Value)>;
-
   // --- API for user-defined methods (paper Table 1) -----------------------
 
   /// Returns a pointer to this actor's state. kRead access must not mutate;
@@ -56,17 +52,6 @@ class TransactionalActor : public ActorBase {
   /// snapshot content and ACT lock mode). May suspend: ACTs block on the
   /// actor lock (aborting on wait-die or deadlock timeout).
   Task<Value*> GetState(TxnContext& ctx, AccessMode mode);
-
-  /// Invokes `call` on `target` within the transaction. The callee executes
-  /// under the same tid/mode; results and execution info flow back here.
-  Task<Value> CallActor(TxnContext& ctx, const ActorId& target, FuncCall call);
-
-  /// Fire-and-await-later variant of CallActor for fan-out: the call starts
-  /// immediately; await the returned future when the result is needed. Used
-  /// by multi-actor transactions that touch actors in parallel (e.g.
-  /// SmallBank's MultiTransfer, §5.1.1).
-  Future<Value> CallActorAsync(TxnContext& ctx, const ActorId& target,
-                               FuncCall call);
 
   // --- Client entry point (used via SnapperRuntime::Submit*) ---------------
 
@@ -76,7 +61,7 @@ class TransactionalActor : public ActorBase {
 
   // --- Coordinator- and peer-facing protocol surface ----------------------
 
-  Task<Value> InvokeTxn(TxnContext ctx, FuncCall call);
+  Task<Value> InvokeTxn(TxnContext ctx, FuncCall call) override;
   Task<void> ReceiveBatch(BatchMsg msg);
   Task<void> ReceiveBatchCommit(uint64_t bid);
   Task<bool> ActPrepare(uint64_t tid, uint64_t epoch);
@@ -148,15 +133,6 @@ class TransactionalActor : public ActorBase {
   const ActorLock& lock_for_test() const { return lock_; }
 
  protected:
-  /// Subclass constructors register their methods with this.
-  void RegisterMethod(std::string name, Method method) {
-    methods_[std::move(name)] = std::move(method);
-  }
-
-  /// Initial state of a fresh actor (before any recovery), e.g. an account's
-  /// opening balance. Called on activation.
-  virtual Value InitialState() const { return Value(); }
-
   SnapperContext& sctx() const {
     return *static_cast<SnapperContext*>(runtime().app_context());
   }
@@ -229,24 +205,12 @@ class TransactionalActor : public ActorBase {
 
   LocalSchedule schedule_;
   ActorLock lock_;
-  std::map<std::string, Method> methods_;
 
   std::map<uint64_t, PactSnapshot> pact_snapshots_;  // bid -> snapshot
   std::map<uint64_t, uint64_t> batch_owner_;         // bid -> coordinator
 
   std::map<uint64_t, ActLocal> act_local_;  // tid -> local ACT bookkeeping
   std::set<uint64_t> prepared_acts_;
-  /// Tombstones of ACTs already aborted on this actor: a late invocation of
-  /// such a tid (messages are unordered) must be rejected, or it would
-  /// re-register the dead transaction and leak its lock/schedule slot.
-  /// Bounded FIFO (kMaxActTombstones).
-  std::set<uint64_t> aborted_acts_;
-  std::deque<uint64_t> aborted_acts_fifo_;
-  static constexpr size_t kMaxActTombstones = 1 << 16;
-  void TombstoneAct(uint64_t tid);
-  bool IsTombstonedAct(uint64_t tid) const {
-    return aborted_acts_.count(tid) > 0;
-  }
   /// max(BS) of ACTs committed on this actor (§4.4.3: the Tj -> Ti carry).
   uint64_t act_bs_watermark_ = kNoBid;
 

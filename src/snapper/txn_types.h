@@ -5,6 +5,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -231,6 +232,15 @@ struct TxnTimings {
   uint32_t commit_us = 0;  ///< execution end -> commit/abort decided (I8-I9).
 };
 
+/// The clock behind TxnTimings and the latency counters.
+using TimePoint = std::chrono::steady_clock::time_point;
+inline TimePoint Now() { return std::chrono::steady_clock::now(); }
+inline uint32_t MicrosBetween(TimePoint from, TimePoint to) {
+  return static_cast<uint32_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+          .count());
+}
+
 /// What the client receives from StartTxn: the method's return value or an
 /// abort/error status, plus the latency breakdown for the harness.
 struct TxnResult {
@@ -281,13 +291,10 @@ struct MessageCounters {
   std::atomic<uint64_t> watchdog_act_resolutions{0};  ///< stuck-2PC re-resolves
   std::atomic<uint64_t> txn_deadline_aborts{0};
 
-  // Checkpoint / bounded-recovery counters (see wal/checkpoint.h).
+  // Recovery counters. Checkpoint and truncation totals live in
+  // LogManager::checkpoint_stats() (see wal/checkpoint.h).
   std::atomic<uint64_t> recovery_time_us{0};  ///< summed WAL scan+replay time
   std::atomic<uint64_t> recovery_replay_records{0};  ///< post-checkpoint suffix
-  std::atomic<uint64_t> checkpoints_taken{0};
-  std::atomic<uint64_t> checkpoint_lag_bytes{0};  ///< current gauge, not sum
-  std::atomic<uint64_t> wal_segments_truncated{0};
-  std::atomic<uint64_t> wal_bytes_truncated{0};
   std::atomic<uint64_t> cold_deactivations{0};  ///< checkpoint-then-deactivate
 
   void Reset() {
@@ -307,10 +314,6 @@ struct MessageCounters {
     txn_deadline_aborts = 0;
     recovery_time_us = 0;
     recovery_replay_records = 0;
-    checkpoints_taken = 0;
-    checkpoint_lag_bytes = 0;
-    wal_segments_truncated = 0;
-    wal_bytes_truncated = 0;
     cold_deactivations = 0;
   }
 };

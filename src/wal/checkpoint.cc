@@ -38,14 +38,8 @@ bool ParseWalFileName(std::string_view name, size_t* logger, uint64_t* seq) {
     return true;
   };
   size_t dash = body.find('-');
+  if (dash == std::string_view::npos) return false;
   uint64_t logger_v = 0;
-  if (dash == std::string_view::npos) {
-    // Legacy single-file name "wal-<logger>.log": sorts before any segment.
-    if (!parse_u64(body, &logger_v)) return false;
-    *logger = static_cast<size_t>(logger_v);
-    *seq = 0;
-    return true;
-  }
   uint64_t seq_v = 0;
   if (!parse_u64(body.substr(0, dash), &logger_v)) return false;
   if (!parse_u64(body.substr(dash + 1), &seq_v)) return false;

@@ -72,11 +72,10 @@ struct CheckpointStats {
   std::atomic<uint64_t> lag_bytes{0};
 };
 
-/// Segment file naming. Seeded-era logs used `wal-<logger>.log`; segmented
-/// logs use `wal-<logger>-<seq>.log` with seq >= 1. ParseWalFileName maps a
-/// legacy name to seq 0 so (logger, seq) sorts legacy content first. Never
-/// sort WAL files lexicographically: "wal-0-000001.log" < "wal-0.log"
-/// because '-' < '.'.
+/// Segment file naming: `wal-<logger>-<seq>.log` with seq >= 1 (seq is
+/// zero-padded to six digits and grows past them). ParseWalFileName accepts
+/// exactly that shape. Order files by (logger, seq), never by name:
+/// "wal-0-1000000.log" < "wal-0-999999.log" (see wal/wal_reader.h).
 std::string WalSegmentFileName(size_t logger, uint64_t seq);
 bool ParseWalFileName(std::string_view name, size_t* logger, uint64_t* seq);
 

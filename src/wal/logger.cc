@@ -1,6 +1,10 @@
 #include "wal/logger.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
+
+#include "wal/wal_reader.h"
 
 namespace snapper {
 
@@ -133,14 +137,11 @@ LogManager::LogManager(Options options, Env* env)
   // overwrites a file recovery still needs.
   std::vector<uint64_t> start_seq(options_.num_loggers, 1);
   std::vector<std::string> legacy;
-  for (const std::string& name : env->ListFiles()) {
-    size_t logger = 0;
-    uint64_t seq = 0;
-    if (!ParseWalFileName(name, &logger, &seq)) continue;
-    legacy.push_back(name);
-    if (logger < options_.num_loggers) {
-      start_seq[logger] = std::max(start_seq[logger], seq + 1);
+  for (WalFile& file : ListWalFiles(env)) {
+    if (file.logger < options_.num_loggers) {
+      start_seq[file.logger] = std::max(start_seq[file.logger], file.seq + 1);
     }
+    legacy.push_back(std::move(file.name));
   }
   if (checkpoints_ != nullptr) {
     checkpoints_->RegisterLegacyFiles(std::move(legacy));
@@ -170,6 +171,11 @@ Future<Status> LogManager::Append(const ActorId& id, LogRecord record) {
     return p.GetFuture();
   }
   return LoggerFor(id).Append(std::move(record));
+}
+
+const CheckpointStats& LogManager::checkpoint_stats() const {
+  static const CheckpointStats kNone;
+  return checkpoints_ != nullptr ? checkpoints_->stats() : kNone;
 }
 
 size_t LogManager::RetireLegacyFiles() {

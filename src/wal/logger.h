@@ -162,6 +162,9 @@ class LogManager {
   /// Checkpoint/truncation bookkeeping (null when logging is disabled).
   CheckpointManager* checkpoints() { return checkpoints_.get(); }
   const CheckpointManager* checkpoints() const { return checkpoints_.get(); }
+  /// The checkpoint/truncation counters; all zero without a
+  /// CheckpointManager.
+  const CheckpointStats& checkpoint_stats() const;
 
   /// Deletes the previous incarnation's WAL files. Call only after every
   /// recovered state has been durably re-persisted as a checkpoint record in

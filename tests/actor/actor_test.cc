@@ -7,6 +7,7 @@
 #include <memory>
 #include <thread>
 
+#include "actor/kill_marks.h"
 #include "async/task.h"
 
 namespace snapper {
@@ -396,6 +397,38 @@ TEST(ActorIdTest, HashAndEquality) {
   EXPECT_TRUE(a < c);
   EXPECT_TRUE(a < d);
   EXPECT_EQ(a.ToString(), "1/5");
+}
+
+TEST(KillMarksTest, NewerKillSupersedesPendingReactivation) {
+  KillMarks marks;
+  const ActorId actor{1, 7};
+  const ActorId other{1, 8};
+  EXPECT_FALSE(marks.IsMarked(actor));
+
+  const auto before_first = std::chrono::steady_clock::now();
+  const uint64_t first = marks.Mark(actor);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const auto before_second = std::chrono::steady_clock::now();
+  const uint64_t second = marks.Mark(actor);
+  EXPECT_GT(second, first);
+  uint64_t generation = 0;
+  ASSERT_TRUE(marks.IsMarked(actor, &generation));
+  EXPECT_EQ(generation, second);
+  EXPECT_FALSE(marks.IsMarked(other, &generation));
+  EXPECT_EQ(generation, 0u);
+
+  // The first kill's reactivation finishes late: it must not unmark the
+  // actor the second kill is still reactivating.
+  KillMarks::TimePoint killed_at = before_first;
+  EXPECT_FALSE(marks.Clear(actor, first, &killed_at));
+  EXPECT_TRUE(marks.IsMarked(actor));
+  EXPECT_EQ(killed_at, before_first);  // untouched on failure
+
+  ASSERT_TRUE(marks.Clear(actor, second, &killed_at));
+  EXPECT_GE(killed_at, before_second);  // the second kill's time
+  EXPECT_LE(killed_at, std::chrono::steady_clock::now());
+  EXPECT_FALSE(marks.IsMarked(actor));
+  EXPECT_FALSE(marks.Clear(actor, second, &killed_at));
 }
 
 }  // namespace

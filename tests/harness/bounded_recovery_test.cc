@@ -81,12 +81,13 @@ TEST(BoundedRecoveryTest, FaultToleranceJsonCarriesCheckpointCounters) {
   MessageCounters counters;
   counters.recovery_time_us.store(123);
   counters.recovery_replay_records.store(45);
-  counters.checkpoints_taken.store(6);
-  counters.checkpoint_lag_bytes.store(789);
-  counters.wal_segments_truncated.store(2);
-  counters.wal_bytes_truncated.store(4096);
   counters.cold_deactivations.store(1);
-  const std::string json = FaultToleranceJson(counters);
+  CheckpointStats checkpoints;
+  checkpoints.checkpoints_durable.store(6);
+  checkpoints.lag_bytes.store(789);
+  checkpoints.segments_truncated.store(2);
+  checkpoints.bytes_truncated.store(4096);
+  const std::string json = FaultToleranceJson(counters, checkpoints);
   EXPECT_NE(json.find("\"recovery_time_us\":123"), std::string::npos) << json;
   EXPECT_NE(json.find("\"recovery_replay_records\":45"), std::string::npos);
   EXPECT_NE(json.find("\"checkpoints_taken\":6"), std::string::npos);

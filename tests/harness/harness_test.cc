@@ -110,7 +110,7 @@ TEST(BenchResultTest, FaultToleranceJsonCarriesCounters) {
   counters.watchdog_act_aborts.store(5);
   counters.watchdog_act_resolutions.store(6);
   counters.txn_deadline_aborts.store(7);
-  const std::string json = FaultToleranceJson(counters);
+  const std::string json = FaultToleranceJson(counters, CheckpointStats{});
   EXPECT_NE(json.find("\"actor_kills\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"reactivations\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"reactivation_us\":1500"), std::string::npos) << json;
@@ -118,6 +118,9 @@ TEST(BenchResultTest, FaultToleranceJsonCarriesCounters) {
   EXPECT_NE(json.find("\"watchdog_act_aborts\":5"), std::string::npos);
   EXPECT_NE(json.find("\"watchdog_act_resolutions\":6"), std::string::npos);
   EXPECT_NE(json.find("\"txn_deadline_aborts\":7"), std::string::npos);
+  // Without a CheckpointManager the checkpoint figures read zero.
+  EXPECT_NE(json.find("\"checkpoints_taken\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"wal_bytes_truncated\":0"), std::string::npos);
 }
 
 TEST(SmallBankGeneratorTest, ProducesDistinctActorsAndValidInfo) {

@@ -189,7 +189,6 @@ TEST(OtxnCheckpointTest, ReactivationReplaysOnlyCheckpointSuffix) {
 
   // The checkpoint cut, not the run length, bounds the rebuild: far fewer
   // records replayed than the stream ever carried.
-  rt.SyncWalCounters();
   const uint64_t replayed = rt.counters().recovery_replay_records.load();
   EXPECT_GT(replayed, 0u);
   EXPECT_LT(replayed, rt.log_manager().TotalRecords() / 2);

@@ -12,6 +12,7 @@
 
 #include "snapper/snapper_runtime.h"
 #include "tests/common/watchdog.h"
+#include "wal/checkpoint.h"
 #include "wal/log_format.h"
 #include "workloads/smallbank.h"
 
@@ -218,7 +219,7 @@ TEST(RecoveryManagerTest, BatchAbortExcludesAllCompletesInference) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     // Batch 5: all completes durable, but watchdog-aborted.
     LogRecord info;
@@ -289,7 +290,7 @@ TEST(RecoveryManagerTest, CommitsBatchWithAllCompletesButNoCommitRecord) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info;
     info.type = LogRecordType::kBatchInfo;
@@ -322,7 +323,7 @@ TEST(RecoveryManagerTest, IncompleteBatchDoesNotCommit) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info;
     info.type = LogRecordType::kBatchInfo;
@@ -348,7 +349,7 @@ TEST(RecoveryManagerTest, ActNeedsCoordCommit) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord prepared;
     prepared.type = LogRecordType::kActPrepare;
@@ -366,7 +367,7 @@ TEST(RecoveryManagerTest, ActNeedsCoordCommit) {
 
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-1.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(1, 1), &f).ok());
     std::string buf;
     LogRecord commit;
     commit.type = LogRecordType::kActCoordCommit;
@@ -386,7 +387,7 @@ TEST(RecoveryManagerTest, CheckpointRecordsApplyUnconditionally) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord checkpoint;
     checkpoint.type = LogRecordType::kCheckpoint;
@@ -409,7 +410,7 @@ TEST(RecoveryManagerTest, AllCompletesWithAbortedPredecessorDoesNotCommit) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info5;
     info5.type = LogRecordType::kBatchInfo;
@@ -443,7 +444,7 @@ TEST(RecoveryManagerTest, AllCompletesChainCommitsWhenPredecessorCommitted) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord info5;
     info5.type = LogRecordType::kBatchInfo;
@@ -487,7 +488,7 @@ TEST(RecoveryManagerTest, TearOnExactFrameBoundaryDropsOneRecord) {
   size_t last_frame_bytes = 0;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     for (uint64_t k = 1; k <= 3; ++k) {
       LogRecord checkpoint;
@@ -580,7 +581,7 @@ TEST(RecoveryManagerTest, MaxSeenIdCoversAllRecords) {
   MemEnv env;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     LogRecord r;
     r.type = LogRecordType::kBatchCommit;
@@ -630,7 +631,7 @@ TEST(RecoveryManagerTest, CheckpointCutBoundsReplayToSuffix) {
   const ActorId actor{2, 5};
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     for (uint64_t tid = 1; tid <= 10; ++tid) {
       AppendCommittedWrite(&buf, actor, tid, 100.0 + tid);
@@ -658,7 +659,7 @@ TEST(RecoveryManagerTest, TornCheckpointFallsBackToPreviousCheckpoint) {
   size_t last_checkpoint_bytes = 0;
   {
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(env.NewWritableFile("wal-0.log", &f).ok());
+    ASSERT_TRUE(env.NewWritableFile(WalSegmentFileName(0, 1), &f).ok());
     std::string buf;
     AppendCheckpoint(&buf, actor, 42.0);
     AppendCommittedWrite(&buf, actor, 7, 50.0);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,9 +17,9 @@
 #include "snapper/recovery.h"
 #include "snapper/snapper_runtime.h"
 #include "tests/common/watchdog.h"
-#include "wal/checkpoint.h"
 #include "wal/fault_env.h"
 #include "wal/log_format.h"
+#include "wal/wal_reader.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
 
@@ -31,20 +30,10 @@ using smallbank::SmallBankActor;
 
 /// Every record in `env`'s WAL files, in (logger, seq) file order.
 std::vector<LogRecord> ReadWal(Env& env) {
-  std::map<std::pair<size_t, uint64_t>, std::string> files;
-  for (const auto& name : env.ListFiles()) {
-    size_t logger = 0;
-    uint64_t seq = 0;
-    if (ParseWalFileName(name, &logger, &seq)) files[{logger, seq}] = name;
-  }
   std::vector<LogRecord> records;
-  for (const auto& [key, name] : files) {
-    std::string content;
-    EXPECT_TRUE(env.ReadFile(name, &content).ok()) << name;
-    LogCursor cursor(content);
-    LogRecord record;
-    while (cursor.Next(&record).ok()) records.push_back(record);
-  }
+  EXPECT_TRUE(ScanWal(&env, [&records](size_t, LogRecord record) {
+                records.push_back(std::move(record));
+              }).ok());
   return records;
 }
 

@@ -46,12 +46,12 @@ TEST(WalFileNameTest, RoundTrip) {
   EXPECT_EQ(seq, 12u);
 }
 
-TEST(WalFileNameTest, LegacyNameParsesAsSeqZero) {
+TEST(WalFileNameTest, LegacyNameIsRejected) {
+  // The pre-segment single-file name `wal-<logger>.log` is no longer written
+  // or read.
   size_t logger = 99;
   uint64_t seq = 99;
-  ASSERT_TRUE(ParseWalFileName("wal-2.log", &logger, &seq));
-  EXPECT_EQ(logger, 2u);
-  EXPECT_EQ(seq, 0u);
+  EXPECT_FALSE(ParseWalFileName("wal-2.log", &logger, &seq));
 }
 
 TEST(WalFileNameTest, RejectsNonWalNames) {
@@ -65,17 +65,18 @@ TEST(WalFileNameTest, RejectsNonWalNames) {
   EXPECT_FALSE(ParseWalFileName("wal-", &logger, &seq));
 }
 
-// The trap that motivates numeric ordering: lexicographically the segmented
-// name sorts *before* the legacy name ('-' < '.'), but its content is newer.
+// The trap that motivates numeric ordering: seq is padded to six digits, so
+// once it grows a seventh the newer segment's name sorts *before* the older
+// one ('1' < '9'), but its content is newer.
 TEST(WalFileNameTest, LexicographicOrderWouldMisorderSegments) {
-  const std::string legacy = "wal-0.log";
-  const std::string segment = WalSegmentFileName(0, 1);
-  ASSERT_LT(segment, legacy);  // the lexicographic trap is real
-  size_t ll = 0, sl = 0;
-  uint64_t lseq = 0, sseq = 0;
-  ASSERT_TRUE(ParseWalFileName(legacy, &ll, &lseq));
-  ASSERT_TRUE(ParseWalFileName(segment, &sl, &sseq));
-  EXPECT_LT(lseq, sseq);  // numeric (logger, seq) order is correct
+  const std::string older = WalSegmentFileName(0, 999999);
+  const std::string newer = WalSegmentFileName(0, 1000000);
+  ASSERT_LT(newer, older);  // the lexicographic trap is real
+  size_t ol = 0, nl = 0;
+  uint64_t oseq = 0, nseq = 0;
+  ASSERT_TRUE(ParseWalFileName(older, &ol, &oseq));
+  ASSERT_TRUE(ParseWalFileName(newer, &nl, &nseq));
+  EXPECT_LT(oseq, nseq);  // numeric (logger, seq) order is correct
 }
 
 // --- CheckpointManager unit -----------------------------------------------
@@ -328,9 +329,9 @@ TEST_F(SegmentedLoggerTest, TruncatesAtExactSegmentBoundary) {
 
 TEST_F(SegmentedLoggerTest, LegacyFilesRetireOnDemand) {
   {
-    // Previous incarnation: legacy-named single-segment log.
+    // Previous incarnation: one segment of logger 0.
     std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_.NewWritableFile("wal-0.log", &file).ok());
+    ASSERT_TRUE(env_.NewWritableFile(WalSegmentFileName(0, 1), &file).ok());
     std::string framed;
     FrameRecord(StateRecord(1, "old"), &framed);
     ASSERT_TRUE(file->Append(framed).ok());
@@ -341,15 +342,15 @@ TEST_F(SegmentedLoggerTest, LegacyFilesRetireOnDemand) {
                       .segment_bytes = 0,
                       .checkpoint_threshold_bytes = 0},
                      &env_);
-  // New appends land in a *new* segment past the legacy one.
+  // New appends land in a *new* segment past the previous incarnation's.
   ASSERT_TRUE(
       manager.Append(ActorId{7, 1}, StateRecord(1, "new")).Get().ok());
-  EXPECT_TRUE(env_.FileExists("wal-0.log"));
   EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 1)));
+  EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 2)));
 
   EXPECT_EQ(manager.RetireLegacyFiles(), 1u);
-  EXPECT_FALSE(env_.FileExists("wal-0.log"));
-  EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 1)));
+  EXPECT_FALSE(env_.FileExists(WalSegmentFileName(0, 1)));
+  EXPECT_TRUE(env_.FileExists(WalSegmentFileName(0, 2)));
 }
 
 }  // namespace

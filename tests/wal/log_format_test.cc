@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "wal/checkpoint.h"
+#include "wal/env.h"
+#include "wal/wal_reader.h"
+
 namespace snapper {
 namespace {
 
@@ -137,6 +146,110 @@ TEST(LogRecordTest, ToStringIsInformative) {
   EXPECT_NE(MakeBatchInfo().ToString().find("BatchInfo"), std::string::npos);
   EXPECT_NE(MakeBatchComplete().ToString().find("state_bytes"),
             std::string::npos);
+}
+
+// --- ScanWal: the shared WAL stream reader --------------------------------
+
+/// Writes `records` (ids only) as one durable WAL file, plus `tail` raw
+/// bytes after the last frame.
+void WriteWalFile(Env& env, const std::string& name,
+                  const std::vector<uint64_t>& ids,
+                  const std::string& tail = "") {
+  std::string buf;
+  for (const uint64_t id : ids) {
+    LogRecord r;
+    r.type = LogRecordType::kActCoordCommit;
+    r.id = id;
+    FrameRecord(r, &buf);
+  }
+  buf += tail;
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(env.NewWritableFile(name, &f).ok());
+  ASSERT_TRUE(f->Append(buf).ok());
+  ASSERT_TRUE(f->Sync().ok());
+}
+
+/// (logger, id) of every record ScanWal visits, in visit order.
+std::vector<std::pair<size_t, uint64_t>> Scan(Env& env, Status* status) {
+  std::vector<std::pair<size_t, uint64_t>> seen;
+  *status = ScanWal(&env, [&seen](size_t logger, LogRecord record) {
+    seen.emplace_back(logger, record.id);
+  });
+  return seen;
+}
+
+/// A MemEnv whose listing races a truncation (`vanish` is deleted right
+/// after it was listed) and whose reads of `broken` fail with IOError.
+class RacingEnv : public MemEnv {
+ public:
+  std::vector<std::string> ListFiles() override {
+    auto names = MemEnv::ListFiles();
+    if (!vanish.empty()) EXPECT_TRUE(DeleteFile(vanish).ok());
+    return names;
+  }
+  Status ReadFile(const std::string& name, std::string* out) override {
+    if (name == broken) return Status::IOError("unreadable " + name);
+    return MemEnv::ReadFile(name, out);
+  }
+  std::string vanish;
+  std::string broken;
+};
+
+TEST(ScanWalTest, VisitsStreamsInLoggerThenSeqOrder) {
+  MemEnv env;
+  // Created out of order; by name, seq 1000000 sorts before seq 999999.
+  WriteWalFile(env, WalSegmentFileName(1, 1), {10});
+  WriteWalFile(env, WalSegmentFileName(0, 1000000), {3});
+  WriteWalFile(env, WalSegmentFileName(0, 999999), {2});
+  WriteWalFile(env, WalSegmentFileName(0, 1), {1, 11});
+  WriteWalFile(env, "not-a-wal.log", {99});
+  Status status;
+  const auto seen = Scan(env, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const std::vector<std::pair<size_t, uint64_t>> want = {
+      {0, 1}, {0, 11}, {0, 2}, {0, 3}, {1, 10}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ScanWalTest, SkipsFileDeletedBetweenListingAndReading) {
+  RacingEnv env;
+  WriteWalFile(env, WalSegmentFileName(0, 1), {1});
+  WriteWalFile(env, WalSegmentFileName(0, 2), {2});
+  WriteWalFile(env, WalSegmentFileName(0, 3), {3});
+  env.vanish = WalSegmentFileName(0, 2);
+  Status status;
+  const auto seen = Scan(env, &status);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  const std::vector<std::pair<size_t, uint64_t>> want = {{0, 1}, {0, 3}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ScanWalTest, TornTailEndsThatFileOnly) {
+  MemEnv env;
+  std::string torn;
+  FrameRecord(MakeBatchComplete(), &torn);
+  torn.resize(torn.size() / 2);  // an unsynced frame cut mid-payload
+  WriteWalFile(env, WalSegmentFileName(0, 1), {1, 2}, torn);
+  WriteWalFile(env, WalSegmentFileName(0, 2), {3});
+  Status status;
+  const auto seen = Scan(env, &status);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  const std::vector<std::pair<size_t, uint64_t>> want = {
+      {0, 1}, {0, 2}, {0, 3}};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ScanWalTest, ReadErrorIsReportedAfterVisitingTheRest) {
+  RacingEnv env;
+  WriteWalFile(env, WalSegmentFileName(0, 1), {1});
+  WriteWalFile(env, WalSegmentFileName(0, 2), {2});
+  WriteWalFile(env, WalSegmentFileName(1, 1), {3});
+  env.broken = WalSegmentFileName(0, 2);
+  Status status;
+  const auto seen = Scan(env, &status);
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  const std::vector<std::pair<size_t, uint64_t>> want = {{0, 1}, {1, 3}};
+  EXPECT_EQ(seen, want);
 }
 
 }  // namespace
